@@ -4,9 +4,10 @@
 // concurrent lock layer.  A low-contention zipf workload (many resources,
 // a mildly hot head) runs on real threads against:
 //
-//   * the legacy continuous engine (one mutex around the sequential
-//     TransactionManager, inline resolution) at each thread count, and
-//   * the sharded periodic engine across a threads x shards grid, with a
+//   * the one-shard continuous engine (kContinuous: every acquire behind
+//     the single shard mutex, inline resolution on block) at each thread
+//     count, and
+//   * the periodic engine across a threads x shards grid, with a
 //     dedicated detector thread sweeping every millisecond.
 //
 // No event bus is attached: a bus serializes every emission point (by
@@ -128,12 +129,12 @@ int main(int argc, char** argv) {
               "%u hardware threads\n",
               txns_per_thread, resources, host_cores);
 
-  // Continuous single-mutex baseline at each thread count.
+  // One-shard continuous baseline at each thread count.
   std::vector<CellResult> baseline;
   for (size_t threads : thread_counts) {
     Result<std::unique_ptr<txn::ConcurrentLockService>> service =
         txn::ConcurrentLockService::Create(txn::ConcurrentServiceOptions{});
-    TWBG_CHECK(service.ok());  // continuous single-mutex engine
+    TWBG_CHECK(service.ok());  // one-shard continuous engine
     CellResult cell =
         RunCell(**service, threads, txns_per_thread, resources, 11 + threads);
     std::printf("  continuous  threads=%zu            %10.0f txn/s "

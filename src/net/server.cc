@@ -3,9 +3,9 @@
 // Reactor + worker-pool implementation of net::Server (see server.h for
 // the architecture).  Lock discipline: `mu_` guards every structure
 // shared between the reactor and the workers (session queues, the run
-// queue, counters); service calls NEVER run under mu_; the socket-side
-// session fields (FrameReader, pending_write) belong to the reactor
-// alone and need no lock.
+// queue, counters, the drain deadline); service calls NEVER run under
+// mu_; the listen socket and the socket-side session fields (FrameReader,
+// pending_write) belong to the reactor alone and need no lock.
 
 #include "net/server.h"
 
@@ -214,15 +214,8 @@ class Server::Impl {
       const auto at = std::chrono::steady_clock::now() + deadline;
       // A Stop after BeginDrain tightens the deadline; never loosens it.
       if (!was_draining || at < drain_deadline_at_) drain_deadline_at_ = at;
-      if (listen_fd_ >= 0) {
-        // Closing the listen socket is the "stop accepting" edge: the
-        // epoll registration dies with the fd and later connects are
-        // refused by the kernel.
-        close(listen_fd_);
-        listen_fd_ = -1;
-      }
     }
-    WakeReactor();
+    WakeReactor();  // the reactor closes the listen socket (Tick)
   }
 
   void WakeReactor() {
@@ -482,6 +475,13 @@ class Server::Impl {
     }
 
     if (!draining_.load(std::memory_order_relaxed)) return false;
+    if (listen_fd_ >= 0) {
+      // Closing the listen socket is the "stop accepting" edge: the epoll
+      // registration dies with the fd and later connects are refused by
+      // the kernel.  Accepts that beat it are closed by AcceptAll.
+      close(listen_fd_);
+      listen_fd_ = -1;
+    }
     return AdvanceDrain();
   }
 
@@ -534,6 +534,7 @@ class Server::Impl {
         continue;  // the session closed (or was cleaned) in the meantime
       }
       p.session->awaiting = false;
+      p.session->await_req_id = 0;  // answered: Cleanup must not repeat it
       --awaiting_count_;
       p.session->out += EncodeResponse(response);
       ++stats_.responses;
@@ -546,13 +547,14 @@ class Server::Impl {
   // whatever is left).  Done when no session remains.
   bool AdvanceDrain() {
     std::vector<std::shared_ptr<Session>> open;
+    std::chrono::steady_clock::time_point deadline;
     {
       std::scoped_lock lock(mu_);
       if (sessions_.empty() && run_queue_.empty()) return true;
       for (auto& [fd, session] : sessions_) open.push_back(session);
+      deadline = drain_deadline_at_;
     }
-    const bool deadline_passed =
-        std::chrono::steady_clock::now() >= drain_deadline_at_;
+    const bool deadline_passed = std::chrono::steady_clock::now() >= deadline;
     bool any_live = false;
     if (!deadline_passed) {
       for (const auto& session : open) {
@@ -855,7 +857,7 @@ class Server::Impl {
   ServerStats stats_;
 
   std::atomic<bool> draining_{false};
-  std::chrono::steady_clock::time_point drain_deadline_at_{};
+  std::chrono::steady_clock::time_point drain_deadline_at_{};  // mu_
 };
 
 Server::Server(std::unique_ptr<Impl> impl) : impl_(std::move(impl)) {}
@@ -866,11 +868,6 @@ Result<std::unique_ptr<Server>> Server::Create(
   TWBG_RETURN_IF_ERROR(options.Validate());
   if (service == nullptr) {
     return Status::InvalidArgument("service must not be null");
-  }
-  if (service->options().detection_mode != txn::DetectionMode::kPeriodic) {
-    return Status::InvalidArgument(
-        "the daemon requires a kPeriodic service (non-blocking acquires "
-        "need AcquireAsync)");
   }
   return std::unique_ptr<Server>(
       new Server(std::make_unique<Impl>(std::move(options), service)));

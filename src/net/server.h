@@ -95,7 +95,7 @@ struct ServerStats {
 class Server {
  public:
   /// Validates `options` and builds the server around `service` (not
-  /// owned; must outlive the server and run the kPeriodic engine).
+  /// owned; must outlive the server), in either detection mode.
   /// The socket is not opened until Start().
   static Result<std::unique_ptr<Server>> Create(
       ServerOptions options, txn::ConcurrentLockService* service);

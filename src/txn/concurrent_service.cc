@@ -3,9 +3,9 @@
 #include "txn/concurrent_service.h"
 
 #include <algorithm>
-#include <set>
 
 #include "common/string_util.h"
+#include "core/detection_engine.h"
 #include "core/oracle.h"
 #include "core/tst.h"
 #include "core/twbg.h"
@@ -59,9 +59,10 @@ Status ConcurrentServiceOptions::Validate() const {
         "num_shards must be in [1, %zu], got %zu", kMaxShards, num_shards));
   }
   if (detection_mode == DetectionMode::kContinuous) {
-    // Continuous detection runs inside every blocking acquire and needs
-    // the whole lock state under one mutex; reject — rather than silently
-    // ignore — options that only make sense for the sharded engine.
+    // Continuous detection runs inside every acquire that blocks and
+    // needs the whole lock state under one mutex; reject — rather than
+    // silently ignore — options that only make sense for periodic passes
+    // over several shards.
     if (num_shards != 1) {
       return Status::InvalidArgument(
           "continuous detection requires num_shards == 1 "
@@ -96,9 +97,10 @@ Status ConcurrentServiceOptions::Validate() const {
   return robustness.Validate();
 }
 
-// What the parallel pass sees of the shard set.  Every method runs with
-// all shard mutexes, txn_mu_ and (when observing) obs_mu_ held by the
-// pass, so plain cross-shard reads and serial mutations are safe.
+// What the parallel pass sees of the shard set, and where its Step 3
+// lands.  Every method runs with all shard mutexes, txn_mu_ and (when
+// observing) obs_mu_ held by the pass, so plain cross-shard reads and
+// serial mutations are safe.
 class ConcurrentLockService::PassHost final
     : public core::ShardedDetectionHost {
  public:
@@ -166,29 +168,9 @@ Result<std::unique_ptr<ConcurrentLockService>> ConcurrentLockService::Create(
 }
 
 ConcurrentLockService::ConcurrentLockService(ConcurrentServiceOptions options)
-    : options_(NormalizeConcurrent(std::move(options))),
-      mode_(options_.detection_mode) {
+    : options_(NormalizeConcurrent(std::move(options))) {
   if (!options_.fault_plan.empty()) {
     injector_ = std::make_unique<robustness::FaultInjector>(options_.fault_plan);
-  }
-  if (mode_ == DetectionMode::kContinuous) {
-    TransactionManagerOptions tm_options;
-    tm_options.detection_mode = DetectionMode::kContinuous;
-    tm_options.cost_policy = options_.cost_policy;
-    tm_options.detector = options_.detector;
-    // The inner manager's continuous detector runs under mu_, so the
-    // tracer's single-writer contract holds; it emits the pass / step /
-    // resolution spans for this mode.
-    if (tm_options.detector.span_tracer == nullptr) {
-      tm_options.detector.span_tracer = options_.span_tracer;
-    }
-    tm_options.event_bus = options_.event_bus;
-    // The inner manager runs the Begin-time admission check; deadlines
-    // stay with the service (the manager's clock is logical, ours is wall
-    // time) and are implemented in ContinuousAcquire.
-    tm_options.robustness.admission = options_.robustness.admission;
-    tm_ = std::make_unique<TransactionManager>(tm_options);
-    return;
   }
   bus_ = options_.event_bus;
   tracer_ = options_.span_tracer;
@@ -197,6 +179,16 @@ ConcurrentLockService::ConcurrentLockService(ConcurrentServiceOptions options)
     shards_.push_back(std::make_unique<Shard>());
     shards_.back()->lm.set_event_bus(bus_);
     shards_.back()->lm.set_span_tracer(tracer_);
+  }
+  if (options_.detection_mode == DetectionMode::kContinuous) {
+    // Detection on block runs inside the acquire, under the shard mutex
+    // and obs_mu_, so the tracer's single-writer contract holds and the
+    // detector emits its own pass / step / resolution spans.
+    core::DetectorOptions continuous_options = options_.detector;
+    if (continuous_options.span_tracer == nullptr) {
+      continuous_options.span_tracer = tracer_;
+    }
+    continuous_ = std::make_unique<core::ContinuousDetector>(continuous_options);
   }
   if (options_.detection_threads > 0) {
     pool_ = std::make_unique<common::ThreadPool>(options_.detection_threads);
@@ -256,19 +248,22 @@ size_t ConcurrentLockService::ShardIndex(lock::ResourceId rid) const {
   return static_cast<size_t>((h >> 32) % shards_.size());
 }
 
+std::unique_lock<std::mutex> ConcurrentLockService::LockShard(Shard& shard) {
+  std::unique_lock<std::mutex> sl(shard.mu, std::try_to_lock);
+  const bool contended = !sl.owns_lock();
+  if (contended) sl.lock();
+  shard.ops++;
+  if (contended) shard.acquire_waits++;
+  return sl;
+}
+
 std::vector<std::unique_lock<std::mutex>> ConcurrentLockService::LockShards(
     uint64_t mask, common::Stopwatch& hold) {
   TWBG_DCHECK(t_in_sealed_detect == 0);
   std::vector<std::unique_lock<std::mutex>> locks;
   for (size_t s = 0; s < shards_.size(); ++s) {
     if ((mask & (uint64_t{1} << s)) == 0) continue;
-    Shard& shard = *shards_[s];
-    std::unique_lock<std::mutex> sl(shard.mu, std::try_to_lock);
-    const bool contended = !sl.owns_lock();
-    if (contended) sl.lock();
-    shard.ops++;
-    if (contended) shard.acquire_waits++;
-    locks.push_back(std::move(sl));
+    locks.push_back(LockShard(*shards_[s]));
   }
   hold.Reset();
   return locks;
@@ -298,18 +293,6 @@ void ConcurrentLockService::CloseSpanStandalone(uint64_t id, uint64_t a,
 }
 
 Result<lock::TransactionId> ConcurrentLockService::Begin() {
-  if (mode_ == DetectionMode::kContinuous) {
-    std::lock_guard<std::mutex> lock(mu_);
-    Result<lock::TransactionId> tid = tm_->Begin();
-    if (!tid.ok() && tid.status().IsResourceExhausted()) {
-      admission_rejects_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return tid;
-  }
-  return PeriodicBegin();
-}
-
-Result<lock::TransactionId> ConcurrentLockService::PeriodicBegin() {
   std::scoped_lock tl(txn_mu_);
   const robustness::AdmissionOptions& adm = options_.robustness.admission;
   if (adm.max_inflight_txns != 0) {
@@ -352,156 +335,14 @@ Result<lock::TransactionId> ConcurrentLockService::PeriodicBegin() {
 Status ConcurrentLockService::AcquireBlocking(lock::TransactionId tid,
                                               lock::ResourceId rid,
                                               lock::LockMode mode) {
-  if (mode_ == DetectionMode::kPeriodic) {
-    return PeriodicAcquire(tid, rid, mode);
-  }
-  return ContinuousAcquire(tid, rid, mode);
-}
-
-Status ConcurrentLockService::ContinuousAcquire(lock::TransactionId tid,
-                                                lock::ResourceId rid,
-                                                lock::LockMode mode) {
-  uint64_t grant_delay_us = 0;
-  if (injector_ != nullptr) {
-    // Read the transaction's operation index (the schedule address) and
-    // fire any fault planted there.
-    std::optional<robustness::Fault> fault;
-    std::optional<robustness::Fault> stall;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      const Transaction* txn = tm_->Find(tid);
-      if (txn != nullptr && txn->state == TxnState::kActive) {
-        fault = injector_->TakeAcquireFault(tid, txn->ops_executed);
-      }
-      stall = injector_->TakeShardStall(0);  // the single "shard"
-      obs::EventBus* bus = options_.event_bus;
-      if (fault.has_value() && obs::Enabled(bus)) bus->Emit(FaultEvent(*fault));
-      if (stall.has_value() && obs::Enabled(bus)) bus->Emit(FaultEvent(*stall));
-      if (stall.has_value()) {
-        std::this_thread::sleep_for(std::chrono::microseconds(stall->duration));
-      }
-      if (fault.has_value() &&
-          fault->kind == robustness::FaultKind::kCrashTxn) {
-        Status aborted = tm_->Abort(tid);
-        if (!aborted.ok()) return aborted;
-      }
-    }
-    if (fault.has_value()) {
-      if (fault->kind == robustness::FaultKind::kCrashTxn) {
-        cv_.notify_all();
-        return Status::Aborted(
-            common::Format("T%u crashed by injected fault", tid));
-      }
-      grant_delay_us = fault->duration;
-    }
-  }
-
-  std::unique_lock<std::mutex> lock(mu_);
-  Status outcome = tm_->Acquire(tid, rid, mode);
-  // The continuous detector may have resolved a deadlock inside Acquire:
-  // wake anyone it granted or aborted.
-  cv_.notify_all();
-  if (outcome.IsDeadlockVictim()) {
-    ++cont_deadlock_victims_;
-    return outcome;
-  }
-  if (outcome.IsResourceExhausted()) {
-    admission_rejects_.fetch_add(1, std::memory_order_relaxed);
-    return outcome;
-  }
-  if (outcome.ok()) {
-    lock.unlock();
-    if (grant_delay_us != 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(grant_delay_us));
-    }
-    return outcome;
-  }
-  if (!outcome.IsWouldBlock()) return outcome;
-
-  // Park until the lock manager grants us (state back to Active) or a
-  // later resolution kills us.  Progress is guaranteed: continuous
-  // detection leaves no deadlock behind, so every wait ends with some
-  // transaction's commit/abort — or with our deadline.
-  const uint64_t deadline_us = options_.robustness.deadline.lock_wait;
-  const auto blocked = [&] {
-    Result<TxnState> state = tm_->State(tid);
-    return state.ok() && *state == TxnState::kBlocked;
-  };
-  if (deadline_us == 0 && injector_ == nullptr) {
-    cv_.wait(lock, [&] { return !blocked(); });
-  } else {
-    const auto expiry =
-        std::chrono::steady_clock::now() + std::chrono::microseconds(deadline_us);
-    while (blocked()) {
-      if (deadline_us != 0 && std::chrono::steady_clock::now() >= expiry) {
-        // Still blocked under mu_, so nothing can race the cancellation:
-        // this is the single resolution of the wait.
-        const lock::LockManager& lm = tm_->lock_manager();
-        const lock::TxnLockInfo* info = lm.Info(tid);
-        TWBG_CHECK(info != nullptr && info->blocked_on.has_value());
-        const lock::ResourceId wait_rid = *info->blocked_on;
-        const lock::LockMode wait_mode = info->blocked_mode;
-        const uint64_t span = info->wait_span;
-        TWBG_CHECK(tm_->CancelWait(tid).ok());
-        const uint32_t expiries = ++cont_expiries_[tid];
-        deadline_expiries_.fetch_add(1, std::memory_order_relaxed);
-        const uint32_t abort_after = options_.robustness.deadline.abort_after;
-        const bool escalate = abort_after != 0 && expiries >= abort_after;
-        obs::EventBus* bus = options_.event_bus;
-        if (obs::Enabled(bus)) {
-          obs::Event event;
-          event.kind = obs::EventKind::kDeadlineExpired;
-          event.tid = tid;
-          event.rid = wait_rid;
-          event.mode = wait_mode;
-          event.span = span;
-          event.a = expiries;
-          event.b = escalate ? 1 : 0;
-          bus->Emit(event);
-        }
-        if (escalate) {
-          deadline_aborts_.fetch_add(1, std::memory_order_relaxed);
-          TWBG_CHECK(tm_->Abort(tid).ok());
-          lock.unlock();
-          cv_.notify_all();
-          return Status::DeadlineExceeded(common::Format(
-              "T%u wait on R%u exceeded its deadline; aborted after %u "
-              "expired waits",
-              tid, wait_rid, expiries));
-        }
-        lock.unlock();
-        cv_.notify_all();  // waiters granted by the withdrawal
-        return Status::DeadlineExceeded(common::Format(
-            "T%u wait on R%u exceeded its deadline", tid, wait_rid));
-      }
-      cv_.wait_for(lock, kWaitPoll);
-    }
-  }
-  Result<TxnState> state = tm_->State(tid);
-  if (state.ok() && *state == TxnState::kActive) {
-    lock.unlock();
-    if (grant_delay_us != 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(grant_delay_us));
-    }
-    return Status::OK();
-  }
-  ++cont_deadlock_victims_;
-  return Status::DeadlockVictim(
-      common::Format("T%u aborted as deadlock victim while waiting", tid));
-}
-
-Status ConcurrentLockService::PeriodicAcquire(lock::TransactionId tid,
-                                              lock::ResourceId rid,
-                                              lock::LockMode mode) {
-  TWBG_DCHECK(t_in_sealed_detect == 0);
   const size_t shard_index = ShardIndex(rid);
   Shard& shard = *shards_[shard_index];
 
   uint64_t grant_delay_us = 0;
   if (injector_ != nullptr) {
     // Fire acquire-addressed faults before taking any shard mutex: the
-    // crash path re-enters PeriodicTerminate, which locks shards itself
-    // (lock order forbids doing that while one is held).
+    // crash path re-enters Terminate, which locks shards itself (lock
+    // order forbids doing that while one is held).
     std::optional<robustness::Fault> fault;
     {
       std::scoped_lock tl(txn_mu_);
@@ -515,7 +356,7 @@ Status ConcurrentLockService::PeriodicAcquire(lock::TransactionId tid,
     if (fault.has_value()) {
       EmitStandalone(FaultEvent(*fault));
       if (fault->kind == robustness::FaultKind::kCrashTxn) {
-        Status aborted = PeriodicTerminate(tid, /*commit=*/false);
+        Status aborted = Terminate(tid, /*commit=*/false);
         if (!aborted.ok()) return aborted;
         return Status::Aborted(
             common::Format("T%u crashed by injected fault", tid));
@@ -532,176 +373,104 @@ Status ConcurrentLockService::PeriodicAcquire(lock::TransactionId tid,
     }
   }
 
-  std::unique_lock<std::mutex> sl(shard.mu, std::try_to_lock);
-  const bool contended = !sl.owns_lock();
-  if (contended) sl.lock();
-  common::Stopwatch hold;
-  shard.ops++;
-  if (contended) shard.acquire_waits++;
-
+  std::unique_lock<std::mutex> sl;
   TxnRecord* rec = nullptr;
-  lock::RequestOutcome outcome;
-  {
-    std::scoped_lock tl(txn_mu_);
-    auto it = txns_.find(tid);
-    if (it == txns_.end()) {
-      return Status::NotFound(common::Format("unknown transaction T%u", tid));
-    }
-    rec = &it->second;
-    const TxnState state = rec->state.load(std::memory_order_relaxed);
-    if (state != TxnState::kActive) {
-      return Status::FailedPrecondition(
-          common::Format("T%u is %s and cannot request locks", tid,
-                         std::string(ToString(state)).c_str()));
-    }
-    // Record the routing before the request: commits/aborts must lock
-    // this shard even if the request errors after registering the txn.
-    rec->shard_mask |= uint64_t{1} << shard_index;
-    // Backpressure: shed requests that would deepen an already saturated
-    // shard.  Holders are exempt — a conversion must be allowed through
-    // or the holder could never finish and drain the queue.
-    const uint64_t watermark = options_.robustness.admission.queue_depth_watermark;
-    if (watermark != 0) {
-      const lock::ResourceState* res = shard.lm.table().Find(rid);
-      const bool holder = res != nullptr && res->FindHolder(tid) != nullptr;
-      if (!holder) {
-        robustness::AdmissionContext ctx;
-        ctx.inflight_txns = live_txns_;
-        ctx.queue_depth = shard.lm.BlockedTransactions().size();
-        Status admitted = robustness::WatermarkAdmission(
-                              options_.robustness.admission)
-                              .AdmitAcquire(ctx);
-        if (!admitted.ok()) {
-          admission_rejects_.fetch_add(1, std::memory_order_relaxed);
-          if (bus_ != nullptr) {
-            std::scoped_lock ol(obs_mu_);
-            if (bus_->active()) {
-              obs::Event event;
-              event.kind = obs::EventKind::kAdmissionReject;
-              event.tid = tid;
-              event.rid = rid;
-              event.a = ctx.queue_depth;
-              event.b = watermark;
-              bus_->Emit(event);
-            }
+  Result<lock::RequestOutcome> outcome = Register(tid, rid, mode, &sl, &rec);
+  if (!outcome.ok()) return outcome.status();
+  if (*outcome == lock::RequestOutcome::kBlocked) {
+    // Park on the shard of the resource we are blocked on.  We have held
+    // shard.mu continuously since the lock manager queued us, and anyone
+    // who grants or aborts us does so while holding this same mutex (the
+    // rid is in our shard_mask and in the granter's release set; the
+    // detector holds every shard) — so the state change cannot slip in
+    // between our predicate check and the park, and no wakeup is missed.
+    const auto unblocked = [rec] {
+      return rec->state.load(std::memory_order_relaxed) != TxnState::kBlocked;
+    };
+    const uint64_t deadline_us = options_.robustness.deadline.lock_wait;
+    if (deadline_us == 0 && injector_ == nullptr) {
+      shard.cv.wait(sl, unblocked);
+    } else {
+      // Deadline-armed / fault-exposed waits poll: a deadline must be
+      // noticed without anyone waking us, and a dropped wakeup must not
+      // strand us.
+      const auto expiry = std::chrono::steady_clock::now() +
+                          std::chrono::microseconds(deadline_us);
+      while (!unblocked()) {
+        if (deadline_us != 0 && std::chrono::steady_clock::now() >= expiry) {
+          bool escalate = false;
+          Status expired = CancelWait(tid, shard, &escalate);
+          if (expired.ok()) break;  // a grant raced in: single resolution
+          sl.unlock();
+          shard.cv.notify_all();  // waiters granted by the withdrawal
+          if (escalate) {
+            Status aborted = Terminate(tid, /*commit=*/false);
+            TWBG_CHECK(aborted.ok());
           }
-          shard.hold_ns += static_cast<uint64_t>(hold.ElapsedNanos());
-          return admitted;
+          return expired;
         }
+        shard.cv.wait_for(sl, kWaitPoll);
       }
     }
-    std::unique_lock<std::mutex> ol(obs_mu_, std::defer_lock);
-    if (observed()) ol.lock();
-    Result<lock::RequestOutcome> result = shard.lm.Acquire(tid, rid, mode);
-    if (!result.ok()) {
-      shard.hold_ns += static_cast<uint64_t>(hold.ElapsedNanos());
-      return result.status();
-    }
-    rec->ops_executed++;
-    RefreshCostLocked(tid, *rec);
-    outcome = *result;
-    switch (outcome) {
-      case lock::RequestOutcome::kGranted:
-        rec->locks_granted++;
-        RefreshCostLocked(tid, *rec);
-        break;
-      case lock::RequestOutcome::kAlreadyHeld:
-        break;
-      case lock::RequestOutcome::kBlocked:
-        rec->state.store(TxnState::kBlocked, std::memory_order_relaxed);
-        break;
+    if (rec->state.load(std::memory_order_relaxed) != TxnState::kActive) {
+      return Status::DeadlockVictim(
+          common::Format("T%u aborted as deadlock victim while waiting", tid));
     }
   }
-  shard.hold_ns += static_cast<uint64_t>(hold.ElapsedNanos());
-  if (outcome != lock::RequestOutcome::kBlocked) {
-    sl.unlock();
-    if (grant_delay_us != 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(grant_delay_us));
-    }
-    return Status::OK();
+  sl.unlock();
+  if (grant_delay_us != 0) {
+    std::this_thread::sleep_for(std::chrono::microseconds(grant_delay_us));
   }
-
-  // Park on the shard of the resource we are blocked on.  We have held
-  // shard.mu continuously since the lock manager queued us, and anyone
-  // who grants or aborts us does so while holding this same mutex (the
-  // rid is in our shard_mask and in the granter's release set; the
-  // detector holds every shard) — so the state change cannot slip in
-  // between our predicate check and the park, and no wakeup is missed.
-  const auto unblocked = [rec] {
-    return rec->state.load(std::memory_order_relaxed) != TxnState::kBlocked;
-  };
-  const uint64_t deadline_us = options_.robustness.deadline.lock_wait;
-  if (deadline_us == 0 && injector_ == nullptr) {
-    shard.cv.wait(sl, unblocked);
-  } else {
-    // Deadline-armed / fault-exposed waits poll: a deadline must be
-    // noticed without anyone waking us, and a dropped wakeup must not
-    // strand us.
-    const auto expiry = std::chrono::steady_clock::now() +
-                        std::chrono::microseconds(deadline_us);
-    while (!unblocked()) {
-      if (deadline_us != 0 && std::chrono::steady_clock::now() >= expiry) {
-        bool escalate = false;
-        Status expired = CancelPeriodicWait(tid, shard, &escalate);
-        if (expired.ok()) break;  // a grant raced in: single resolution
-        sl.unlock();
-        shard.cv.notify_all();  // waiters granted by the withdrawal
-        if (escalate) {
-          Status aborted = PeriodicTerminate(tid, /*commit=*/false);
-          TWBG_CHECK(aborted.ok());
-        }
-        return expired;
-      }
-      shard.cv.wait_for(sl, kWaitPoll);
-    }
-  }
-  if (rec->state.load(std::memory_order_relaxed) == TxnState::kActive) {
-    sl.unlock();
-    if (grant_delay_us != 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(grant_delay_us));
-    }
-    return Status::OK();
-  }
-  return Status::DeadlockVictim(
-      common::Format("T%u aborted as deadlock victim while waiting", tid));
+  return Status::OK();
 }
 
 Result<lock::RequestOutcome> ConcurrentLockService::AcquireAsync(
     lock::TransactionId tid, lock::ResourceId rid, lock::LockMode mode) {
-  if (mode_ != DetectionMode::kPeriodic) {
-    return Status::FailedPrecondition(
-        "AcquireAsync requires kPeriodic mode (the continuous engine "
-        "resolves deadlocks inside blocking acquires; use AcquireBlocking)");
-  }
+  // A later grant flips the record's atomic state via ReactivateLocked
+  // whether or not a thread is parked, so callers observe it through
+  // State(tid).
+  std::unique_lock<std::mutex> sl;
+  TxnRecord* rec = nullptr;
+  return Register(tid, rid, mode, &sl, &rec);
+}
+
+Result<lock::RequestOutcome> ConcurrentLockService::Register(
+    lock::TransactionId tid, lock::ResourceId rid, lock::LockMode mode,
+    std::unique_lock<std::mutex>* sl, TxnRecord** rec) {
   TWBG_DCHECK(t_in_sealed_detect == 0);
   const size_t shard_index = ShardIndex(rid);
   Shard& shard = *shards_[shard_index];
-
-  std::unique_lock<std::mutex> sl(shard.mu, std::try_to_lock);
-  const bool contended = !sl.owns_lock();
-  if (contended) sl.lock();
+  *sl = LockShard(shard);
   common::Stopwatch hold;
-  shard.ops++;
-  if (contended) shard.acquire_waits++;
+  Result<lock::RequestOutcome> outcome =
+      RegisterLocked(tid, rid, mode, shard_index, rec);
+  shard.hold_ns += static_cast<uint64_t>(hold.ElapsedNanos());
+  return outcome;
+}
 
-  // Mirrors the registration half of PeriodicAcquire exactly — routing
-  // mask, admission watermark, lock-manager request, state/cost updates —
-  // but returns the outcome instead of parking on the shard cv.  A later
-  // grant flips the record's atomic state via ReactivateLocked whether or
-  // not a thread is parked, so callers observe it through State(tid).
+Result<lock::RequestOutcome> ConcurrentLockService::RegisterLocked(
+    lock::TransactionId tid, lock::ResourceId rid, lock::LockMode mode,
+    size_t shard_index, TxnRecord** rec_out) {
+  Shard& shard = *shards_[shard_index];
   std::scoped_lock tl(txn_mu_);
   auto it = txns_.find(tid);
   if (it == txns_.end()) {
     return Status::NotFound(common::Format("unknown transaction T%u", tid));
   }
-  TxnRecord& rec = it->second;
-  const TxnState state = rec.state.load(std::memory_order_relaxed);
+  TxnRecord* rec = &it->second;
+  *rec_out = rec;
+  const TxnState state = rec->state.load(std::memory_order_relaxed);
   if (state != TxnState::kActive) {
     return Status::FailedPrecondition(
         common::Format("T%u is %s and cannot request locks", tid,
                        std::string(ToString(state)).c_str()));
   }
-  rec.shard_mask |= uint64_t{1} << shard_index;
+  // Record the routing before the request: commits/aborts must lock this
+  // shard even if the request errors after registering the txn.
+  rec->shard_mask |= uint64_t{1} << shard_index;
+  // Backpressure: shed requests that would deepen an already saturated
+  // shard.  Holders are exempt — a conversion must be allowed through or
+  // the holder could never finish and drain the queue.
   const uint64_t watermark = options_.robustness.admission.queue_depth_watermark;
   if (watermark != 0) {
     const lock::ResourceState* res = shard.lm.table().Find(rid);
@@ -727,7 +496,6 @@ Result<lock::RequestOutcome> ConcurrentLockService::AcquireAsync(
             bus_->Emit(event);
           }
         }
-        shard.hold_ns += static_cast<uint64_t>(hold.ElapsedNanos());
         return admitted;
       }
     }
@@ -735,33 +503,42 @@ Result<lock::RequestOutcome> ConcurrentLockService::AcquireAsync(
   std::unique_lock<std::mutex> ol(obs_mu_, std::defer_lock);
   if (observed()) ol.lock();
   Result<lock::RequestOutcome> result = shard.lm.Acquire(tid, rid, mode);
-  if (!result.ok()) {
-    shard.hold_ns += static_cast<uint64_t>(hold.ElapsedNanos());
-    return result.status();
-  }
-  rec.ops_executed++;
-  RefreshCostLocked(tid, rec);
+  if (!result.ok()) return result.status();
+  rec->ops_executed++;
+  RefreshCostLocked(tid, *rec);
   switch (*result) {
     case lock::RequestOutcome::kGranted:
-      rec.locks_granted++;
-      RefreshCostLocked(tid, rec);
-      break;
+      rec->locks_granted++;
+      RefreshCostLocked(tid, *rec);
+      return result;
     case lock::RequestOutcome::kAlreadyHeld:
-      break;
+      return result;
     case lock::RequestOutcome::kBlocked:
-      rec.state.store(TxnState::kBlocked, std::memory_order_relaxed);
       break;
   }
-  shard.hold_ns += static_cast<uint64_t>(hold.ElapsedNanos());
-  return *result;
+  rec->state.store(TxnState::kBlocked, std::memory_order_relaxed);
+  if (continuous_ == nullptr) return result;
+  // Continuous detection: every edge this block created leaves `tid`, so
+  // any cycle it closed passes through it and a walk rooted there finds
+  // it.  The one shard holds the whole wait-for state.
+  const core::ResolutionReport report =
+      continuous_->OnBlock(shard.lm, costs_, tid);
+  ApplyReportLocked(report);
+  if (!report.aborted.empty() || !report.granted.empty()) {
+    shard.cv.notify_all();  // parked waiters the resolution settled
+  }
+  switch (rec->state.load(std::memory_order_relaxed)) {
+    case TxnState::kAborted:
+      return Status::DeadlockVictim(common::Format(
+          "T%u closed a deadlock cycle and was aborted", tid));
+    case TxnState::kActive:
+      return lock::RequestOutcome::kGranted;  // the resolution granted it
+    default:
+      return result;
+  }
 }
 
 Status ConcurrentLockService::SetCost(lock::TransactionId tid, double cost) {
-  if (mode_ != DetectionMode::kPeriodic) {
-    return Status::FailedPrecondition(
-        "SetCost requires kPeriodic mode (the continuous engine's costs "
-        "are policy-managed by its inner TransactionManager)");
-  }
   std::scoped_lock tl(txn_mu_);
   auto it = txns_.find(tid);
   if (it == txns_.end()) {
@@ -779,19 +556,18 @@ Status ConcurrentLockService::SetCost(lock::TransactionId tid, double cost) {
   return Status::OK();
 }
 
-Status ConcurrentLockService::CancelPeriodicWait(lock::TransactionId tid,
-                                                 Shard& shard,
-                                                 bool* escalate) {
+Status ConcurrentLockService::CancelWait(lock::TransactionId tid,
+                                         Shard& shard, bool* escalate) {
   *escalate = false;
   std::scoped_lock tl(txn_mu_);
   auto it = txns_.find(tid);
   TWBG_CHECK(it != txns_.end());
   TxnRecord& rec = it->second;
   const TxnState state = rec.state.load(std::memory_order_relaxed);
-  // The shard mutex has been held since the deadline check, and both
-  // resolvers (terminating releasers and the stop-the-world pass) change
-  // waiter states only while holding it — whichever of {grant, abort,
-  // expiry} we observe first under txn_mu_ is the wait's single
+  // The shard mutex has been held since the deadline check, and every
+  // resolver (terminating releasers, passes, continuous resolutions)
+  // changes waiter states only while holding it — whichever of {grant,
+  // abort, expiry} we observe first under txn_mu_ is the wait's single
   // resolution.
   if (state == TxnState::kActive) return Status::OK();
   if (state != TxnState::kBlocked) {
@@ -837,42 +613,14 @@ Status ConcurrentLockService::CancelPeriodicWait(lock::TransactionId tid,
 }
 
 Status ConcurrentLockService::Commit(lock::TransactionId tid) {
-  if (mode_ == DetectionMode::kPeriodic) {
-    return PeriodicTerminate(tid, /*commit=*/true);
-  }
-  Status status;
-  bool drop = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    status = tm_->Commit(tid);
-    if (status.ok() && injector_ != nullptr) {
-      drop = injector_->TakeDropWakeup(tid);
-      if (drop && obs::Enabled(options_.event_bus)) {
-        robustness::Fault fault;
-        fault.kind = robustness::FaultKind::kDropWakeup;
-        fault.txn = tid;
-        options_.event_bus->Emit(FaultEvent(fault));
-      }
-    }
-  }
-  // A dropped wakeup swallows the notification; polling waiters (always
-  // the case when an injector is present) recover on their next poll.
-  if (!drop) cv_.notify_all();
-  return status;
+  return Terminate(tid, /*commit=*/true);
 }
 
 Status ConcurrentLockService::Abort(lock::TransactionId tid) {
-  if (mode_ == DetectionMode::kPeriodic) {
-    return PeriodicTerminate(tid, /*commit=*/false);
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  Status status = tm_->Abort(tid);
-  cv_.notify_all();
-  return status;
+  return Terminate(tid, /*commit=*/false);
 }
 
-Status ConcurrentLockService::PeriodicTerminate(lock::TransactionId tid,
-                                                bool commit) {
+Status ConcurrentLockService::Terminate(lock::TransactionId tid, bool commit) {
   // Lock ordering requires the shard mutexes before txn_mu_, so peek at
   // the mask first.  Only this transaction's own thread grows it, and
   // the protocol forbids concurrent operations on one transaction, so
@@ -1001,14 +749,6 @@ std::vector<lock::TransactionId> ConcurrentLockService::ReleaseAllShardsLocked(
 }
 
 core::ResolutionReport ConcurrentLockService::RunDetectionPass() {
-  if (mode_ == DetectionMode::kPeriodic) return RunPeriodicPass();
-  std::lock_guard<std::mutex> lock(mu_);
-  core::ResolutionReport report = tm_->RunDetection();
-  cv_.notify_all();
-  return report;
-}
-
-core::ResolutionReport ConcurrentLockService::RunPeriodicPass() {
   if (degraded_remaining_.load(std::memory_order_relaxed) > 0) {
     return RunTimeoutSweep();
   }
@@ -1046,31 +786,8 @@ core::ResolutionReport ConcurrentLockService::RunStopTheWorldPass() {
     epoch_.fetch_add(1, std::memory_order_acq_rel);
   }
   const uint64_t pause_ns = static_cast<uint64_t>(pause.ElapsedNanos());
-  const uint64_t hold_ns = static_cast<uint64_t>(hold.ElapsedNanos());
-  for (auto& shard : shards_) {
-    shard->hold_ns += hold_ns;
-    shard->cv.notify_all();
-  }
-  shard_locks.clear();
-  {
-    std::scoped_lock stl(stats_mu_);
-    pause_times_ns_.push_back(pause_ns);
-  }
-  // Graceful degradation: a pass that blew its pause budget switches the
-  // next K scheduled passes to the cheap timeout-resolver sweep.  The
-  // budget is judged against the period in effect during THIS pass, so
-  // the retune below cannot excuse the pause that motivated it.
-  const uint64_t budget_ns = EffectivePauseBudgetNs();
-  if (budget_ns != 0 && pause_ns > budget_ns) {
-    const uint32_t passes = options_.robustness.degradation.degraded_passes;
-    degraded_remaining_.store(passes, std::memory_order_relaxed);
-    obs::Event event;
-    event.kind = obs::EventKind::kDegraded;
-    event.a = passes;
-    event.b = pause_ns / 1000;               // the offending pause, µs
-    event.value = static_cast<double>(budget_ns) / 1000.0;  // budget, µs
-    EmitStandalone(std::move(event));
-  }
+  UnlockAllShards(shard_locks, hold);
+  RecordFullPassPause(pause_ns);
   UpdateSchedulerAfterPass(pause_ns, report);
   return report;
 }
@@ -1095,11 +812,7 @@ core::ResolutionReport ConcurrentLockService::RunPauselessPass() {
     const uint64_t publish_span = OpenSpanStandalone(
         obs::SpanKind::kPublish, static_cast<uint32_t>(s), pass_span);
     {
-      std::unique_lock<std::mutex> sl(shard.mu, std::try_to_lock);
-      const bool contended = !sl.owns_lock();
-      if (contended) sl.lock();
-      shard.ops++;
-      if (contended) shard.acquire_waits++;
+      std::unique_lock<std::mutex> sl = LockShard(shard);
       common::Stopwatch publish;
       capture = snapshots_[s].Capture(shard.lm);
       publish_ns = static_cast<uint64_t>(publish.ElapsedNanos());
@@ -1185,18 +898,6 @@ core::ResolutionReport ConcurrentLockService::RunPauselessPass() {
     }
   }
 
-  core::ResolutionReport report;
-  report.cycles_detected = detect.walk.cycles;
-  report.steps = detect.walk.steps;
-  report.num_transactions = detect.num_transactions;
-  report.num_edges = detect.num_edges;
-  if (detect.incremental) {
-    report.num_dirty_resources = detect.cache.num_dirty_resources;
-    report.num_cached_resources = detect.cache.num_cached_resources;
-    report.edges_rebuilt = detect.cache.edges_rebuilt;
-    report.edges_reused = detect.cache.edges_reused;
-  }
-
   // Phase 3 — validated apply: under the full pass locks, re-check every
   // decision's evidence stamps against the live shards.  A match means
   // the sealed state it was derived from IS the live state now (equal
@@ -1210,6 +911,7 @@ core::ResolutionReport ConcurrentLockService::RunPauselessPass() {
   std::vector<std::unique_lock<std::mutex>> shard_locks =
       LockShards(~uint64_t{0}, hold);
   const uint64_t lag_ns = static_cast<uint64_t>(seal_clock.ElapsedNanos());
+  core::ResolutionReport report;
   {
     std::scoped_lock tl(txn_mu_);
     std::unique_lock<std::mutex> ol(obs_mu_, std::defer_lock);
@@ -1232,7 +934,12 @@ core::ResolutionReport ConcurrentLockService::RunPauselessPass() {
     // stamp later evidence should cite, the live stamp our replay
     // produced) so chained decisions validate.
     std::map<lock::ResourceId, std::pair<uint64_t, uint64_t>> overlay;
-    std::vector<char> valid(decisions.size(), 0);
+    // Step 3's input: the walk outcome restricted to the validated
+    // decisions, in walk order, with the walk's change-list dedup.
+    core::WalkOutcome validated;
+    validated.cycles = detect.walk.cycles;
+    validated.steps = detect.walk.steps;
+    size_t rejected = 0;
     for (size_t i = 0; i < decisions.size(); ++i) {
       const core::VictimDecision& decision = decisions[i];
       const core::VictimCandidate& victim = decision.victim();
@@ -1257,7 +964,7 @@ core::ResolutionReport ConcurrentLockService::RunPauselessPass() {
         }
       }
       if (!stamps_hold) {
-        ++report.rejected;
+        ++rejected;
         resolutions_rejected_.fetch_add(1, std::memory_order_relaxed);
         if (live_obs) {
           obs::Event event;
@@ -1273,7 +980,6 @@ core::ResolutionReport ConcurrentLockService::RunPauselessPass() {
         }
         continue;
       }
-      valid[i] = 1;
       // The sealed detect ran tracer-less (worker threads), so the
       // resolution span of a validated decision is minted here, at the
       // moment the resolution actually lands on the live shards.
@@ -1318,76 +1024,31 @@ core::ResolutionReport ConcurrentLockService::RunPauselessPass() {
         tracer_->Close(res_span, decision.cycle.size(), reposition ? 1 : 0,
                        reposition ? "TDR-2" : "TDR-1");
       }
+      if (victim.kind == core::VictimKind::kAbort) {
+        validated.abortion_list.push_back(victim.junction);
+      } else if (std::find(validated.change_list.begin(),
+                           validated.change_list.end(),
+                           victim.resource) == validated.change_list.end()) {
+        validated.change_list.push_back(victim.resource);
+      }
+      if (i < detect.walk.post_mortems.size()) {
+        validated.post_mortems.push_back(
+            std::move(detect.walk.post_mortems[i]));
+      }
+      validated.decisions.push_back(std::move(decisions[i]));
     }
     if (live_obs) replay(recorded.size() - 1);  // kStep2
 
-    // Step 3 over the validated subset, mirroring core::ApplyResolution:
-    // rebuild the abortion and change lists from the surviving decisions
-    // (same order, same dedup the walk applied).
-    std::vector<lock::TransactionId> order;
-    std::vector<lock::ResourceId> change_list;
-    for (size_t i = 0; i < decisions.size(); ++i) {
-      if (valid[i] == 0) continue;
-      const core::VictimCandidate& victim = decisions[i].victim();
-      if (victim.kind == core::VictimKind::kAbort) {
-        order.push_back(victim.junction);
-      } else if (std::find(change_list.begin(), change_list.end(),
-                           victim.resource) == change_list.end()) {
-        change_list.push_back(victim.resource);
-      }
-    }
-    switch (options_.detector.abort_order) {
-      case core::AbortOrder::kInsertion:
-        break;
-      case core::AbortOrder::kReverseInsertion:
-        std::reverse(order.begin(), order.end());
-        break;
-      case core::AbortOrder::kCostDescending:
-        std::stable_sort(order.begin(), order.end(),
-                         [&](lock::TransactionId a, lock::TransactionId b) {
-                           return costs_.Get(a) > costs_.Get(b);
-                         });
-        break;
-      case core::AbortOrder::kCostAscending:
-        std::stable_sort(order.begin(), order.end(),
-                         [&](lock::TransactionId a, lock::TransactionId b) {
-                           return costs_.Get(a) < costs_.Get(b);
-                         });
-        break;
-    }
-    std::set<lock::TransactionId> granted_set;
-    for (lock::TransactionId tid : order) {
-      if (granted_set.count(tid) != 0) {
-        report.spared.push_back(tid);
-        continue;
-      }
-      const auto it = txns_.find(tid);
-      const uint64_t mask =
-          it == txns_.end() ? ~uint64_t{0} : it->second.shard_mask;
-      const std::vector<lock::TransactionId> granted =
-          ReleaseAllShardsLocked(tid, mask);
-      report.aborted.push_back(tid);
-      costs_.Erase(tid);
-      for (lock::TransactionId g : granted) {
-        granted_set.insert(g);
-        report.granted.push_back(g);
-      }
-    }
-    for (lock::ResourceId rid : change_list) {
-      for (lock::TransactionId g :
-           shards_[ShardIndex(rid)]->lm.Reschedule(rid)) {
-        granted_set.insert(g);
-        report.granted.push_back(g);
-      }
-    }
-    report.repositioned = std::move(change_list);
-    for (size_t i = 0; i < decisions.size(); ++i) {
-      if (valid[i] == 0) continue;
-      if (i < detect.walk.post_mortems.size()) {
-        report.post_mortems.push_back(
-            std::move(detect.walk.post_mortems[i]));
-      }
-      report.decisions.push_back(std::move(decisions[i]));
+    report = core::ApplyResolution(std::move(validated), *pass_host_, costs_,
+                                   options_.detector);
+    report.rejected = rejected;
+    report.num_transactions = detect.num_transactions;
+    report.num_edges = detect.num_edges;
+    if (detect.incremental) {
+      report.num_dirty_resources = detect.cache.num_dirty_resources;
+      report.num_cached_resources = detect.cache.num_cached_resources;
+      report.edges_rebuilt = detect.cache.edges_rebuilt;
+      report.edges_reused = detect.cache.edges_reused;
     }
 
     if (live_obs) {
@@ -1408,31 +1069,14 @@ core::ResolutionReport ConcurrentLockService::RunPauselessPass() {
     epoch_.fetch_add(1, std::memory_order_acq_rel);
   }
   const uint64_t apply_ns = static_cast<uint64_t>(apply_pause.ElapsedNanos());
-  const uint64_t hold_ns = static_cast<uint64_t>(hold.ElapsedNanos());
-  for (auto& shard : shards_) {
-    shard->hold_ns += hold_ns;
-    shard->cv.notify_all();
-  }
-  shard_locks.clear();
-  // The client-visible pause of a pauseless pass is whichever critical
-  // section was longest: a single shard publish or the validated apply.
-  const uint64_t pause_ns = std::max(max_publish_ns, apply_ns);
+  UnlockAllShards(shard_locks, hold);
   {
     std::scoped_lock stl(stats_mu_);
-    pause_times_ns_.push_back(pause_ns);
     detection_lag_ns_.push_back(lag_ns);
   }
-  const uint64_t budget_ns = EffectivePauseBudgetNs();
-  if (budget_ns != 0 && pause_ns > budget_ns) {
-    const uint32_t passes = options_.robustness.degradation.degraded_passes;
-    degraded_remaining_.store(passes, std::memory_order_relaxed);
-    obs::Event event;
-    event.kind = obs::EventKind::kDegraded;
-    event.a = passes;
-    event.b = pause_ns / 1000;               // the offending pause, µs
-    event.value = static_cast<double>(budget_ns) / 1000.0;  // budget, µs
-    EmitStandalone(std::move(event));
-  }
+  // The client-visible pause of a pauseless pass is whichever critical
+  // section was longest: a single shard publish or the validated apply.
+  RecordFullPassPause(std::max(max_publish_ns, apply_ns));
   // Pass-span close contract: a = cycles actually resolved (detected
   // minus stamp-rejected — a rejected decision resolves nothing and is
   // re-derived next pass), b = the full pass cost in nanoseconds.
@@ -1505,12 +1149,7 @@ core::ResolutionReport ConcurrentLockService::RunTimeoutSweep() {
     }
   }
   const uint64_t pause_ns = static_cast<uint64_t>(pause.ElapsedNanos());
-  const uint64_t hold_ns = static_cast<uint64_t>(hold.ElapsedNanos());
-  for (auto& shard : shards_) {
-    shard->hold_ns += hold_ns;
-    shard->cv.notify_all();
-  }
-  shard_locks.clear();
+  UnlockAllShards(shard_locks, hold);
   {
     // A degraded sweep is not a detection pass: its pause lands in its
     // own series so pause percentiles of full passes stay uncontaminated.
@@ -1518,6 +1157,39 @@ core::ResolutionReport ConcurrentLockService::RunTimeoutSweep() {
     sweep_pause_times_ns_.push_back(pause_ns);
   }
   return report;
+}
+
+void ConcurrentLockService::UnlockAllShards(
+    std::vector<std::unique_lock<std::mutex>>& shard_locks,
+    const common::Stopwatch& hold) {
+  // Every shard was held for the whole critical section.
+  const uint64_t hold_ns = static_cast<uint64_t>(hold.ElapsedNanos());
+  for (auto& shard : shards_) {
+    shard->hold_ns += hold_ns;
+    shard->cv.notify_all();
+  }
+  shard_locks.clear();
+}
+
+void ConcurrentLockService::RecordFullPassPause(uint64_t pause_ns) {
+  {
+    std::scoped_lock stl(stats_mu_);
+    pause_times_ns_.push_back(pause_ns);
+  }
+  // Graceful degradation: a pass that blew its pause budget switches the
+  // next K scheduled passes to the cheap timeout-resolver sweep.  The
+  // budget is judged against the period in effect during THIS pass, so
+  // the retune that follows cannot excuse the pause that motivated it.
+  const uint64_t budget_ns = EffectivePauseBudgetNs();
+  if (budget_ns == 0 || pause_ns <= budget_ns) return;
+  const uint32_t passes = options_.robustness.degradation.degraded_passes;
+  degraded_remaining_.store(passes, std::memory_order_relaxed);
+  obs::Event event;
+  event.kind = obs::EventKind::kDegraded;
+  event.a = passes;
+  event.b = pause_ns / 1000;                              // the pause, µs
+  event.value = static_cast<double>(budget_ns) / 1000.0;  // budget, µs
+  EmitStandalone(std::move(event));
 }
 
 void ConcurrentLockService::ApplyReportLocked(
@@ -1605,7 +1277,7 @@ void ConcurrentLockService::DetectorLoop() {
       break;
     }
     lk.unlock();
-    RunPeriodicPass();
+    RunDetectionPass();
     lk.lock();
   }
 }
@@ -1700,10 +1372,6 @@ void ConcurrentLockService::UpdateSchedulerAfterPass(
 }
 
 Result<TxnState> ConcurrentLockService::State(lock::TransactionId tid) const {
-  if (mode_ == DetectionMode::kContinuous) {
-    std::lock_guard<std::mutex> lock(mu_);
-    return tm_->State(tid);
-  }
   std::scoped_lock tl(txn_mu_);
   auto it = txns_.find(tid);
   if (it == txns_.end()) {
@@ -1713,19 +1381,11 @@ Result<TxnState> ConcurrentLockService::State(lock::TransactionId tid) const {
 }
 
 size_t ConcurrentLockService::live_transactions() const {
-  if (mode_ == DetectionMode::kContinuous) {
-    std::lock_guard<std::mutex> lock(mu_);
-    return tm_->NumLive();
-  }
   std::scoped_lock tl(txn_mu_);
   return live_txns_;
 }
 
 Result<bool> ConcurrentLockService::HasDeadlock() {
-  if (mode_ == DetectionMode::kContinuous) {
-    std::lock_guard<std::mutex> lock(mu_);
-    return core::HwTwbg::Build(tm_->lock_manager().table()).HasCycle();
-  }
   if (shards_.size() != 1) {
     return Status::FailedPrecondition(
         "HasDeadlock requires num_shards == 1 (merged multi-shard graph "
@@ -1741,19 +1401,11 @@ Result<std::string> ConcurrentLockService::RenderView(ServiceView view) {
   // Stop the world so the rendering is a consistent snapshot, then build
   // the view off the (single) live table.  The formats deliberately match
   // core::ScriptRunner's commands — see ServiceView.
-  std::unique_lock<std::mutex> cont_lock(mu_, std::defer_lock);
-  std::vector<std::unique_lock<std::mutex>> shard_locks;
   common::Stopwatch hold;
-  if (mode_ == DetectionMode::kContinuous) {
-    cont_lock.lock();
-  } else {
-    shard_locks = LockShards(~uint64_t{0}, hold);
-  }
+  std::vector<std::unique_lock<std::mutex>> shard_locks =
+      LockShards(~uint64_t{0}, hold);
 
   if (view == ServiceView::kTable) {
-    if (mode_ == DetectionMode::kContinuous) {
-      return tm_->lock_manager().table().ToString();
-    }
     if (shards_.size() == 1) return shards_[0]->lm.table().ToString();
     std::string out;
     for (size_t s = 0; s < shards_.size(); ++s) {
@@ -1764,13 +1416,6 @@ Result<std::string> ConcurrentLockService::RenderView(ServiceView view) {
   }
   if (view == ServiceView::kCosts) {
     std::string out;
-    if (mode_ == DetectionMode::kContinuous) {
-      for (lock::TransactionId tid :
-           tm_->lock_manager().KnownTransactions()) {
-        out += common::Format("T%u: %.2f\n", tid, tm_->costs().Get(tid));
-      }
-      return out;
-    }
     std::scoped_lock tl(txn_mu_);
     // Known to the lock table (shard order), as ScriptRunner prints.
     for (const auto& shard : shards_) {
@@ -1782,16 +1427,12 @@ Result<std::string> ConcurrentLockService::RenderView(ServiceView view) {
   }
 
   // The graph-derived views need the whole wait-for state in one table.
-  const lock::LockTable* table = nullptr;
-  if (mode_ == DetectionMode::kContinuous) {
-    table = &tm_->lock_manager().table();
-  } else if (shards_.size() == 1) {
-    table = &shards_[0]->lm.table();
-  } else {
+  if (shards_.size() != 1) {
     return Status::FailedPrecondition(
         "graph views require num_shards == 1 (merged multi-shard graph "
         "construction is not implemented)");
   }
+  const lock::LockTable* table = &shards_[0]->lm.table();
   switch (view) {
     case ServiceView::kGraph:
       return core::HwTwbg::Build(*table).ToString();
@@ -1829,23 +1470,13 @@ Result<std::string> ConcurrentLockService::RenderView(ServiceView view) {
 }
 
 size_t ConcurrentLockService::deadlock_victims() const {
-  if (mode_ == DetectionMode::kContinuous) {
-    std::lock_guard<std::mutex> lock(mu_);
-    return cont_deadlock_victims_;
-  }
   std::scoped_lock tl(txn_mu_);
   return deadlock_victims_;
 }
 
-size_t ConcurrentLockService::num_shards() const {
-  return mode_ == DetectionMode::kContinuous ? 1 : shards_.size();
-}
-
 ShardStats ConcurrentLockService::shard_stats(size_t shard) const {
   ShardStats stats;
-  if (mode_ == DetectionMode::kContinuous || shard >= shards_.size()) {
-    return stats;
-  }
+  if (shard >= shards_.size()) return stats;
   Shard& s = *shards_[shard];
   std::lock_guard<std::mutex> sl(s.mu);
   stats.acquire_waits = s.acquire_waits;
@@ -1875,10 +1506,6 @@ std::vector<uint64_t> ConcurrentLockService::detection_lag_ns() const {
 }
 
 Status ConcurrentLockService::CheckInvariants(bool deep) {
-  if (mode_ == DetectionMode::kContinuous) {
-    std::lock_guard<std::mutex> lock(mu_);
-    return tm_->CheckInvariants();
-  }
   // Stop the world so the cross-shard picture is consistent.
   common::Stopwatch hold;
   std::vector<std::unique_lock<std::mutex>> shard_locks =
@@ -1934,10 +1561,6 @@ Status ConcurrentLockService::CheckInvariants(bool deep) {
 
 std::string ConcurrentLockService::DebugDump() {
   std::string out;
-  if (mode_ == DetectionMode::kContinuous) {
-    std::lock_guard<std::mutex> lock(mu_);
-    return tm_->lock_manager().table().ToString();
-  }
   common::Stopwatch hold;
   std::vector<std::unique_lock<std::mutex>> shard_locks =
       LockShards(~uint64_t{0}, hold);

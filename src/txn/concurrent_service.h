@@ -1,20 +1,25 @@
 // Copyright (c) the twbg authors. Licensed under the MIT license.
 //
-// Thread-safe strict-2PL lock service.  Two engines behind one API:
+// Thread-safe strict-2PL lock service: one engine, two detection policies.
 //
-//   * kContinuous (the default, and the only mode of the legacy
-//     constructor): one mutex around a sequential TransactionManager with
-//     the continuous companion algorithm — every deadlock is resolved
-//     inside the request that would have completed the cycle, so no
-//     watcher thread is needed and no wait can hang.
+// The lock table is striped into `num_shards` hash-sharded partitions,
+// each with its own mutex, LockManager (own version-stamp domain and
+// mutation journal) and contention counters.  Acquires touch exactly one
+// shard; commits/aborts lock only the shards the transaction touched.
+// The detection policy (DetectionMode) decides when deadlocks are found:
 //
-//   * kPeriodic: the lock table is striped into `num_shards` hash-sharded
-//     partitions, each with its own mutex, LockManager (own version-stamp
-//     domain and mutation journal) and contention counters.  Acquires
-//     touch exactly one shard; commits/aborts lock only the shards the
-//     transaction touched.  Deadlocks are resolved by the periodic pass
-//     (§5) — run by a dedicated detector thread every `detection_period`,
-//     or by explicit RunDetectionPass() calls.  Each pass stamps a new
+//   * kContinuous (the default): the paper's continuous companion on the
+//     one-shard engine.  An acquire that blocks runs
+//     core::ContinuousDetector::OnBlock rooted at the requester, under the
+//     shard locks it already holds — every deadlock is resolved inside the
+//     request that would have completed the cycle, so no detector thread
+//     is needed and no wait can hang.  This is the zero-period limit of
+//     periodic detection; it needs the whole wait-for state behind one
+//     mutex, hence exactly one shard.
+//
+//   * kPeriodic: deadlocks are resolved by the periodic pass (§5) — run
+//     by a dedicated detector thread every `detection_period`, or by
+//     explicit RunDetectionPass() calls.  Each pass stamps a new
 //     snapshot epoch.  Two pass strategies (SnapshotStrategy):
 //
 //       - kEpochDelta (the default, "pauseless"): each shard publishes
@@ -39,6 +44,9 @@
 //         graph caches and detects in place.  The event stream recorded
 //         under a pass is a true linearization suitable for replay
 //         oracles, at the cost of pauses that grow with table size.
+//
+//     RunDetectionPass runs the same pass under kContinuous too, where it
+//     is a safety net: inline resolution leaves no cycle behind.
 //
 // Robustness layer (optional, all off by default; see docs/ROBUSTNESS.md):
 //
@@ -75,9 +83,10 @@
 // linearization of the lock-state history (the replay-parity stress suite
 // depends on this).  Sink callbacks must not call back into the service.
 //
-// Wait-span caveat: in periodic mode wait-span ids are per-shard domains
-// (each shard's LockManager numbers its own spans), so span values are
-// not comparable with a single-manager run; kinds/tids/rids/counters are.
+// Wait-span caveat: with several shards, wait-span ids are per-shard
+// domains (each shard's LockManager numbers its own spans), so span values
+// are not comparable with a single-manager run; kinds/tids/rids/counters
+// are.
 
 #ifndef TWBG_TXN_CONCURRENT_SERVICE_H_
 #define TWBG_TXN_CONCURRENT_SERVICE_H_
@@ -95,6 +104,7 @@
 #include "common/macros.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
+#include "core/continuous_detector.h"
 #include "core/parallel_detector.h"
 #include "obs/span.h"
 #include "obs/span_sinks.h"
@@ -123,12 +133,12 @@ struct ConcurrentServiceOptions {
   /// shards; more shards mean less mutex contention between independent
   /// acquires.  Must be 1 in kContinuous mode.
   size_t num_shards = 1;
-  /// kContinuous resolves deadlocks inline on every block (single-mutex
-  /// engine); kPeriodic resolves them in periodic passes over the sharded
-  /// engine (see snapshot_strategy for how a pass observes the shards).
+  /// kContinuous resolves deadlocks inside the acquire that blocks (one
+  /// shard); kPeriodic resolves them in periodic passes (see
+  /// snapshot_strategy for how a pass observes the shards).
   DetectionMode detection_mode = DetectionMode::kContinuous;
-  /// How the periodic pass snapshots the shards (kPeriodic only; ignored
-  /// in kContinuous mode).
+  /// How a periodic pass snapshots the shards — the detector thread's
+  /// pass, and RunDetectionPass under either detection mode.
   SnapshotStrategy snapshot_strategy = SnapshotStrategy::kEpochDelta;
   /// Period of the dedicated detector thread (kPeriodic only); zero means
   /// no thread — the caller drives RunDetectionPass itself.  With a
@@ -156,13 +166,13 @@ struct ConcurrentServiceOptions {
   /// Causal span tracer (not owned; may be null).  Attaching one
   /// serializes the service exactly like a bus: every span call happens
   /// under the observability mutex, satisfying the tracer's single-writer
-  /// contract.  In kPeriodic mode the service opens txn spans at Begin /
-  /// Terminate, the shard lock managers open/close the wait spans, and
-  /// each pass emits a kPass span with kPublish / kApply / kResolution
-  /// children (pauseless) — the engine's own detector tracer stays unset
-  /// because the component-parallel walk runs on worker threads.  In
-  /// kContinuous mode the tracer is forwarded to the inner manager's
-  /// sequential detector (pass / step / resolution spans).  Required when
+  /// contract.  The service opens txn spans at Begin / Terminate, the
+  /// shard lock managers open/close the wait spans, and each periodic
+  /// pass emits a kPass span with kPublish / kApply / kResolution
+  /// children (pauseless) — the parallel detector's own tracer stays unset
+  /// because the component-parallel walk runs on worker threads.  The
+  /// kContinuous detector runs inside the acquire, under the same mutex,
+  /// and emits its own pass / step / resolution spans.  Required when
   /// scheduler.use_span_estimates is set.
   obs::SpanTracer* span_tracer = nullptr;
   /// Robustness knobs.  Deadline units are MICROSECONDS here (wall
@@ -208,7 +218,7 @@ enum class ServiceView {
   kCosts,
 };
 
-/// Cumulative per-shard contention counters (kPeriodic mode).
+/// Cumulative per-shard contention counters.
 struct ShardStats {
   /// Lock attempts that found the shard mutex already held.
   uint64_t acquire_waits = 0;
@@ -219,13 +229,13 @@ struct ShardStats {
 };
 
 /// Thread-safe strict-2PL lock service with deadlock resolution.  See the
-/// file comment for the two engines and the locking discipline.
+/// file comment for the two detection policies and the locking
+/// discipline.
 class ConcurrentLockService {
  public:
   /// Validates `options` (ConcurrentServiceOptions::Validate) and builds
   /// the service; invalid combinations are rejected with InvalidArgument
-  /// rather than silently coerced.  The only way to construct a service —
-  /// the legacy TransactionManagerOptions constructor shim was removed.
+  /// rather than silently coerced.  The only way to construct a service.
   static Result<std::unique_ptr<ConcurrentLockService>> Create(
       ConcurrentServiceOptions options);
 
@@ -243,8 +253,10 @@ class ConcurrentLockService {
   /// Acquires `mode` on `rid`, blocking the calling thread until granted.
   /// Canonical outcomes:
   ///   kOk                 granted;
-  ///   kDeadlockVictim     chosen as deadlock victim (locks gone; Begin a
-  ///                       new transaction to retry);
+  ///   kDeadlockVictim     chosen as deadlock victim — under kContinuous
+  ///                       possibly inside this very call, by the cycle
+  ///                       the request closed (locks gone; Begin a new
+  ///                       transaction to retry);
   ///   kDeadlineExceeded   the configured lock-wait deadline expired; the
   ///                       request was withdrawn (transaction still alive
   ///                       and holding its other locks) — unless the
@@ -255,14 +267,17 @@ class ConcurrentLockService {
   Status AcquireBlocking(lock::TransactionId tid, lock::ResourceId rid,
                          lock::LockMode mode);
 
-  /// Non-blocking acquire (kPeriodic mode only): starts the request and
-  /// returns its immediate outcome instead of parking the calling thread.
-  ///   kGranted      lock held;
+  /// Non-blocking acquire: starts the request and returns its immediate
+  /// outcome instead of parking the calling thread.
+  ///   kGranted      lock held (under kContinuous, possibly granted by
+  ///                 the resolution of the cycle this request closed);
   ///   kAlreadyHeld  `tid` already holds `mode` (or stronger) on `rid`;
   ///   kBlocked      queued; the transaction is kBlocked until a release
-  ///                 or a detection pass reactivates (or aborts) it —
-  ///                 poll State(tid) for the transition (kActive: granted;
+  ///                 or a resolution reactivates (or aborts) it — poll
+  ///                 State(tid) for the transition (kActive: granted;
   ///                 kAborted: deadlock victim).
+  /// A requester that continuous detection picked as the victim of the
+  /// cycle it closed gets kDeadlockVictim, as from AcquireBlocking.
   /// Admission watermarks apply exactly as in AcquireBlocking
   /// (kResourceExhausted); lock-wait deadlines and fault injection do
   /// not (they are parked-waiter machinery).  This is the seam the
@@ -273,17 +288,17 @@ class ConcurrentLockService {
                                             lock::ResourceId rid,
                                             lock::LockMode mode);
 
-  /// Pins `tid`'s abort cost to `cost` (kPeriodic mode only): the value
-  /// replaces the policy-computed cost and is no longer refreshed on
-  /// subsequent operations, mirroring ScriptRunner's `cost` command.
-  /// kFailedPrecondition for a terminated transaction or the continuous
-  /// engine; kNotFound for an unknown one.
+  /// Pins `tid`'s abort cost to `cost`: the value replaces the
+  /// policy-computed cost and is no longer refreshed on subsequent
+  /// operations, mirroring ScriptRunner's `cost` command.
+  /// kFailedPrecondition for a terminated transaction; kNotFound for an
+  /// unknown one.
   Status SetCost(lock::TransactionId tid, double cost);
 
   /// True when the current wait-for state contains a cycle (H/W-TWBG
-  /// HasCycle over the live table).  Requires num_shards == 1 (the
-  /// continuous engine qualifies); kFailedPrecondition otherwise —
-  /// merged multi-shard graph construction is ROADMAP item 2.
+  /// HasCycle over the live table).  Requires num_shards == 1 (always so
+  /// under kContinuous); kFailedPrecondition otherwise — merged
+  /// multi-shard graph construction is not implemented.
   Result<bool> HasDeadlock();
 
   /// Renders `view` of the current state (formats documented on
@@ -308,32 +323,32 @@ class ConcurrentLockService {
   /// deadline and sweep aborts are counted separately).
   size_t deadlock_victims() const;
 
-  /// Runs one detection-resolution pass now, on the calling thread, and
-  /// returns its report.  In kPeriodic mode this is the same pass the
-  /// detector thread runs (all shard locks held for its duration) — or,
-  /// while degraded, the timeout-resolver sweep; in kContinuous mode it
-  /// is a safety-net periodic pass over the inner manager.
+  /// Runs one periodic detection-resolution pass now, on the calling
+  /// thread, and returns its report: the same pass the detector thread
+  /// runs — or, while degraded, the timeout-resolver sweep.  Under
+  /// kContinuous it is a safety net that finds nothing, since inline
+  /// resolution leaves no cycle behind.
   core::ResolutionReport RunDetectionPass();
 
   /// Number of completed periodic passes (the snapshot epoch).  Each pass
   /// observes — and leaves behind — a consistent cross-shard snapshot;
-  /// the epoch stamps which one.  Always 0 in kContinuous mode.
+  /// the epoch stamps which one.  Inline continuous resolutions do not
+  /// advance it.
   uint64_t snapshot_epoch() const {
     return epoch_.load(std::memory_order_acquire);
   }
 
   /// Number of lock-table shards (1 in kContinuous mode).
-  size_t num_shards() const;
+  size_t num_shards() const { return shards_.size(); }
 
-  /// Contention counters of shard `shard` (kPeriodic mode).
+  /// Contention counters of shard `shard` (zeroes when out of range).
   ShardStats shard_stats(size_t shard) const;
 
-  /// Client-visible pause of every completed *full* detection pass,
-  /// nanoseconds, in pass order (kPeriodic mode; empty otherwise).  For
-  /// kEpochDelta this is max(longest shard publish, apply critical
-  /// section); for kStopTheWorld it is the whole pass.  Degraded
-  /// timeout-sweep passes are recorded separately in
-  /// sweep_pause_times_ns().
+  /// Client-visible pause of every completed *full* periodic pass,
+  /// nanoseconds, in pass order.  For kEpochDelta this is max(longest
+  /// shard publish, apply critical section); for kStopTheWorld it is the
+  /// whole pass.  Degraded timeout-sweep passes are recorded separately
+  /// in sweep_pause_times_ns().
   std::vector<uint64_t> pause_times_ns() const;
 
   /// Every individual shard publish pause, nanoseconds, in capture order
@@ -425,9 +440,9 @@ class ConcurrentLockService {
     uint64_t hold_ns = 0;
   };
 
-  // Per-transaction record of the sharded engine (guarded by txn_mu_;
-  // `state` is additionally atomic because waiter wake predicates read it
-  // under the shard mutex only).
+  // Per-transaction record (guarded by txn_mu_; `state` is additionally
+  // atomic because waiter wake predicates read it under the shard mutex
+  // only).
   struct TxnRecord {
     std::atomic<TxnState> state{TxnState::kActive};
     uint64_t begin_ts = 0;
@@ -454,17 +469,38 @@ class ConcurrentLockService {
 
   size_t ShardIndex(lock::ResourceId rid) const;
 
+  // Locks `shard`, maintaining its contention counters.
+  static std::unique_lock<std::mutex> LockShard(Shard& shard);
+
   // Locks every shard whose mask bit is set, ascending, maintaining the
   // contention counters.  `hold` starts timing once all are held.
   std::vector<std::unique_lock<std::mutex>> LockShards(
       uint64_t mask, common::Stopwatch& hold);
 
-  // Sharded-engine operation bodies (mode_ == kPeriodic).
-  Result<lock::TransactionId> PeriodicBegin();
-  Status PeriodicAcquire(lock::TransactionId tid, lock::ResourceId rid,
-                         lock::LockMode mode);
-  Status PeriodicTerminate(lock::TransactionId tid, bool commit);
-  core::ResolutionReport RunPeriodicPass();
+  // The acquire registration shared by AcquireBlocking and AcquireAsync.
+  // Locks `rid`'s shard into `*sl` and returns with it held, so a blocked
+  // caller can park without missing a wakeup; `*rec` receives the
+  // transaction's record.  Times the critical section into the shard's
+  // hold counter around RegisterLocked.
+  Result<lock::RequestOutcome> Register(lock::TransactionId tid,
+                                        lock::ResourceId rid,
+                                        lock::LockMode mode,
+                                        std::unique_lock<std::mutex>* sl,
+                                        TxnRecord** rec);
+  // Registration body (shard mutex held): routing mask, admission
+  // watermark, lock-manager request, state and cost updates — and, under
+  // kContinuous, detection rooted at a requester that blocked, applied
+  // before returning.  kBlocked means still queued after that; a
+  // requester the resolution aborted gets kDeadlockVictim.
+  Result<lock::RequestOutcome> RegisterLocked(lock::TransactionId tid,
+                                              lock::ResourceId rid,
+                                              lock::LockMode mode,
+                                              size_t shard_index,
+                                              TxnRecord** rec);
+
+  // Commit / abort body: locks the transaction's shards, releases it and
+  // wakes the waiters that release granted.
+  Status Terminate(lock::TransactionId tid, bool commit);
   // The kStopTheWorld pass body: all shard locks for the whole pass.
   core::ResolutionReport RunStopTheWorldPass();
   // The kEpochDelta pass body: publish -> seal -> detect -> validated
@@ -474,16 +510,11 @@ class ConcurrentLockService {
   // `sweep_patience` consecutive sweeps.  Same locks as the full pass.
   core::ResolutionReport RunTimeoutSweep();
 
-  // Continuous-engine bodies (mode_ == kContinuous).
-  Status ContinuousAcquire(lock::TransactionId tid, lock::ResourceId rid,
-                           lock::LockMode mode);
-
-  // Deadline-timeout body of PeriodicAcquire: cancels tid's wait (or
+  // Deadline-timeout body of AcquireBlocking: cancels tid's wait (or
   // reports the grant/abort that raced in).  Runs with the shard mutex
   // held; takes txn_mu_/obs_mu_ internally.  Sets `escalate` when the
   // abort-after-N policy fires (caller aborts after unlocking).
-  Status CancelPeriodicWait(lock::TransactionId tid, Shard& shard,
-                            bool* escalate);
+  Status CancelWait(lock::TransactionId tid, Shard& shard, bool* escalate);
 
   // Releases every lock/queue position of `tid` across the shards in
   // `mask` in global ascending-rid order, reactivating granted waiters'
@@ -494,9 +525,18 @@ class ConcurrentLockService {
   std::vector<lock::TransactionId> ReleaseAllShardsLocked(
       lock::TransactionId tid, uint64_t mask);
 
-  // Mirrors TransactionManager::ApplyReport under the pass's locks:
-  // victims to kAborted (flagged, costs erased, kTxnAbort a=1), granted
-  // waiters back to kActive.
+  // Ends an all-shard critical section (a pass or sweep): charges `hold`
+  // to every shard, wakes every shard's waiters, releases `shard_locks`.
+  void UnlockAllShards(std::vector<std::unique_lock<std::mutex>>& shard_locks,
+                       const common::Stopwatch& hold);
+
+  // Records a full pass's client-visible pause; one over the pause
+  // budget degrades the next scheduled passes to the timeout sweep.
+  void RecordFullPassPause(uint64_t pause_ns);
+
+  // Applies a resolution under the locks that produced it (a pass's, or
+  // a blocking acquire's): victims to kAborted (flagged, costs erased,
+  // kTxnAbort a=1), granted waiters back to kActive.
   void ApplyReportLocked(const core::ResolutionReport& report);
 
   // Transitions granted waiters' records kBlocked -> kActive (txn_mu_
@@ -542,19 +582,11 @@ class ConcurrentLockService {
   void DetectorLoop();
 
   ConcurrentServiceOptions options_;
-  DetectionMode mode_;
 
-  // -- continuous engine (mode_ == kContinuous) --
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::unique_ptr<TransactionManager> tm_;
-  size_t cont_deadlock_victims_ = 0;
-  // Per-transaction deadline-expiry counts (the inner manager's clock is
-  // unused; the service implements wall-clock deadlines itself).
-  std::map<lock::TransactionId, uint32_t> cont_expiries_;
-
-  // -- sharded periodic engine (mode_ == kPeriodic) --
   std::vector<std::unique_ptr<Shard>> shards_;
+  // The kContinuous policy: detection on block, run by RegisterLocked
+  // under the one shard's mutex.  Null under kPeriodic.
+  std::unique_ptr<core::ContinuousDetector> continuous_;
 
   // Transaction table; guards txns_, costs_, next_tid_, next_ts_,
   // live_txns_ and deadlock_victims_.  Acquired after any shard mutexes,

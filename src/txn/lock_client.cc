@@ -35,11 +35,6 @@ Result<std::unique_ptr<InProcessClient>> InProcessClient::Create(
   if (service == nullptr) {
     return Status::InvalidArgument("service must not be null");
   }
-  if (service->options().detection_mode != DetectionMode::kPeriodic) {
-    return Status::InvalidArgument(
-        "InProcessClient requires a kPeriodic service (the non-blocking "
-        "Acquire contract is AcquireAsync's)");
-  }
   return std::unique_ptr<InProcessClient>(new InProcessClient(service));
 }
 

@@ -124,9 +124,8 @@ namespace txn {
 /// LockClient over a ConcurrentLockService in this process.
 class InProcessClient final : public LockClient {
  public:
-  /// Wraps `service` (not owned; must outlive the client).  The service
-  /// must run the kPeriodic engine — the non-blocking Acquire contract
-  /// is AcquireAsync's, which the continuous engine cannot provide.
+  /// Wraps `service` (not owned; must outlive the client), in either
+  /// detection mode.
   static Result<std::unique_ptr<InProcessClient>> Create(
       ConcurrentLockService* service);
 

@@ -184,8 +184,9 @@ TEST(ConcurrentServiceCreateTest, RejectsUnsupportedCombinations) {
                     .status().IsInvalidArgument());
   }
   {
-    // The historical silent coercion is now an explicit error: the
-    // continuous engine has no shards, no detector thread, no pool.
+    // The historical silent coercion is now an explicit error:
+    // continuous detection runs on exactly one shard, with no detector
+    // thread and no pool.
     ConcurrentServiceOptions options;
     options.num_shards = 4;
     options.detection_mode = DetectionMode::kContinuous;

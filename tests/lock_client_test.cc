@@ -28,14 +28,8 @@ std::unique_ptr<ConcurrentLockService> MakeService() {
   return std::move(*service);
 }
 
-TEST(InProcessClientTest, CreateRejectsNullAndContinuous) {
+TEST(InProcessClientTest, CreateRejectsNull) {
   EXPECT_TRUE(InProcessClient::Create(nullptr).status().IsInvalidArgument());
-
-  auto continuous = ConcurrentLockService::Create({});
-  ASSERT_TRUE(continuous.ok());
-  EXPECT_TRUE(InProcessClient::Create(continuous->get())
-                  .status()
-                  .IsInvalidArgument());
 }
 
 TEST(InProcessClientTest, GrantCommitLifecycle) {

@@ -5,7 +5,8 @@
 // test needs to violate the protocol or pipeline requests).  Covers the
 // session lifecycle, dead-peer cleanup releasing locks and unblocking
 // waiters, graceful drain (no request silently dropped), the per-session
-// in-flight cap, and protocol-error handling.
+// in-flight cap, protocol-error handling, and the continuous detection
+// policy behind both LockClient implementations.
 
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -26,6 +27,7 @@
 #include "net/server.h"
 #include "net/tcp_client.h"
 #include "txn/concurrent_service.h"
+#include "txn/lock_client.h"
 
 namespace twbg::net {
 namespace {
@@ -42,12 +44,18 @@ struct Harness {
   uint16_t port() const { return server->port(); }
 };
 
+// Periodic detection with no detector thread: deadlocks stay put until a
+// test calls Detect, which keeps the scenarios deterministic.
+ConcurrentServiceOptions PeriodicOptions() {
+  ConcurrentServiceOptions options;
+  options.detection_mode = DetectionMode::kPeriodic;
+  return options;
+}
+
 Harness StartServer(ServerOptions server_options = {},
-                    ConcurrentServiceOptions service_options = {}) {
+                    ConcurrentServiceOptions service_options =
+                        PeriodicOptions()) {
   Harness harness;
-  if (service_options.detection_mode == DetectionMode::kContinuous) {
-    service_options.detection_mode = DetectionMode::kPeriodic;
-  }
   auto service = ConcurrentLockService::Create(service_options);
   EXPECT_TRUE(service.ok()) << service.status().ToString();
   harness.service = std::move(*service);
@@ -90,12 +98,7 @@ TEST(ServerOptionsTest, ValidateRejectsOutOfDomain) {
   EXPECT_TRUE(ServerOptions{}.Validate().ok());
 }
 
-TEST(ServerCreateTest, RejectsContinuousEngine) {
-  auto continuous = ConcurrentLockService::Create({});
-  ASSERT_TRUE(continuous.ok());
-  EXPECT_TRUE(Server::Create({}, continuous->get())
-                  .status()
-                  .IsInvalidArgument());
+TEST(ServerCreateTest, RejectsNullService) {
   EXPECT_TRUE(Server::Create({}, nullptr).status().IsInvalidArgument());
 }
 
@@ -190,6 +193,80 @@ TEST(NetServiceTest, DeadlockVictimSurfacesOverTheWire) {
   EXPECT_TRUE(c1->Await(*t1).IsDeadlockVictim());
   EXPECT_TRUE(c2->Await(*t2).ok());
   EXPECT_TRUE(c2->Commit(*t2).ok());
+}
+
+// The crossing pair under continuous detection: T2's request closes the
+// cycle and is resolved inside that Acquire — no Detect call.  Both hold
+// one lock (equal cost), so the older T1 is the victim and its release
+// grants T2 the lock it asked for.
+void ExpectCrossingResolvedInsideAcquire(LockClient& c1, LockClient& c2) {
+  auto t1 = c1.Begin();
+  auto t2 = c2.Begin();
+  ASSERT_TRUE(t1.ok() && t2.ok());
+  ASSERT_TRUE(c1.Acquire(*t1, 1, lock::LockMode::kX).ok());
+  ASSERT_TRUE(c2.Acquire(*t2, 2, lock::LockMode::kX).ok());
+  EXPECT_EQ(*c1.Acquire(*t1, 2, lock::LockMode::kX),
+            lock::RequestOutcome::kBlocked);
+  auto closing = c2.Acquire(*t2, 1, lock::LockMode::kX);
+  ASSERT_TRUE(closing.ok()) << closing.status().ToString();
+  EXPECT_EQ(*closing, lock::RequestOutcome::kGranted);
+
+  EXPECT_EQ(*c1.State(*t1), TxnState::kAborted);
+  EXPECT_EQ(*c2.State(*t2), TxnState::kActive);
+  EXPECT_TRUE(c1.Await(*t1).IsDeadlockVictim());
+  EXPECT_TRUE(c2.Commit(*t2).ok());
+  auto stats = c2.Stats();
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->deadlock_victims, 1u);
+  EXPECT_EQ(stats->snapshot_epoch, 0u);  // no periodic pass ran
+  EXPECT_EQ(stats->live_txns, 0u);
+}
+
+TEST(NetServiceTest, ContinuousEngineBehindBothClients) {
+  auto service = ConcurrentLockService::Create(ConcurrentServiceOptions{});
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  auto in1 = txn::InProcessClient::Create(service->get());
+  auto in2 = txn::InProcessClient::Create(service->get());
+  ASSERT_TRUE(in1.ok() && in2.ok());
+  ExpectCrossingResolvedInsideAcquire(**in1, **in2);
+
+  Harness harness = StartServer({}, ConcurrentServiceOptions{});
+  auto c1 = Connect(harness);
+  auto c2 = Connect(harness);
+  ExpectCrossingResolvedInsideAcquire(*c1, *c2);
+}
+
+TEST(NetServiceTest, AwaitAnsweredOnceWhenSessionCloses) {
+  Harness harness = StartServer();
+  auto holder = Connect(harness);
+  auto h = holder->Begin();
+  ASSERT_TRUE(h.ok());
+  ASSERT_TRUE(holder->Acquire(*h, 1, lock::LockMode::kX).ok());
+  {
+    // The waiter's Await parks on the reactor and is answered by its
+    // poll; closing the session afterwards must not answer it again.
+    auto waiter = Connect(harness);
+    auto w = waiter->Begin();
+    ASSERT_TRUE(w.ok());
+    EXPECT_EQ(*waiter->Acquire(*w, 1, lock::LockMode::kS),
+              lock::RequestOutcome::kBlocked);
+    std::thread releaser([&] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      EXPECT_TRUE(holder->Commit(*h).ok());
+    });
+    EXPECT_TRUE(waiter->Await(*w).ok());
+    releaser.join();
+    EXPECT_TRUE(waiter->Commit(*w).ok());
+  }
+  // Wait for the reactor to retire the waiter's session.
+  for (int i = 0; i < 200 && harness.server->stats().sessions_active != 1;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  const ServerStats stats = harness.server->stats();
+  ASSERT_EQ(stats.sessions_active, 1u);
+  EXPECT_EQ(stats.requests, 7u);  // holder 3, waiter 4
+  EXPECT_EQ(stats.requests, stats.responses);
 }
 
 TEST(NetServiceTest, DeadPeerAbortReleasesLocksAndUnblocksWaiter) {
