@@ -252,7 +252,6 @@ int main(int argc, char** argv) {
   server_options.port = 0;
   server_options.max_sessions = connections + 256;
   server_options.worker_threads = 4;
-  server_options.await_poll = std::chrono::microseconds(500);
   auto server = net::Server::Create(server_options, service->get());
   TWBG_CHECK(server.ok());
   TWBG_CHECK((*server)->Start().ok());

@@ -5,7 +5,11 @@
 // shared between the reactor and the workers (session queues, the run
 // queue, counters, the drain deadline); service calls NEVER run under
 // mu_; the listen socket and the socket-side session fields (FrameReader,
-// pending_write) belong to the reactor alone and need no lock.
+// pending_write, the epoll interest) belong to the reactor alone and need
+// no lock.  A parked Await is answered by its OnWaitEnd completion, which
+// runs on whichever thread ends the wait while the service's locks are
+// held, and takes Link::mu and then mu_: service locks -> Link::mu -> mu_.
+// That order is acyclic because no service call ever runs under either.
 
 #include "net/server.h"
 
@@ -37,6 +41,8 @@ namespace {
 
 constexpr size_t kMaxWorkerThreads = 64;
 constexpr size_t kReadChunk = 64 * 1024;
+// A draining reactor re-checks its drain this often; others only wake up.
+constexpr int kDrainTickMs = 1;
 
 Status Errno(const char* what) {
   return Status::Internal(
@@ -69,9 +75,6 @@ Status ServerOptions::Validate() const {
     return Status::InvalidArgument(
         "max_inflight_per_session must be positive");
   }
-  if (await_poll.count() <= 0) {
-    return Status::InvalidArgument("await_poll must be positive");
-  }
   if (drain_deadline.count() < 0) {
     return Status::InvalidArgument("drain_deadline must not be negative");
   }
@@ -84,9 +87,16 @@ Status ServerOptions::Validate() const {
 class Server::Impl {
  public:
   Impl(ServerOptions options, txn::ConcurrentLockService* service)
-      : options_(std::move(options)), service_(service) {}
+      : options_(std::move(options)), service_(service) {
+    link_->server = this;
+  }
 
   ~Impl() {
+    {
+      // From here on Cleanup answers parked Awaits, not their completions.
+      std::scoped_lock lock(link_->mu);
+      link_->server = nullptr;
+    }
     Stop();
     Join();
     {
@@ -180,12 +190,12 @@ class Server::Impl {
     // Reactor-only.
     FrameReader reader;
     std::string pending_write;
-    bool want_write = false;
+    uint32_t events = EPOLLIN;  // the registered epoll interest
     // Guarded by Impl::mu_.
     std::deque<Request> inbox;
     std::string out;
     bool executing = false;
-    bool awaiting = false;
+    bool awaiting = false;  // await_req_id is not answered yet
     bool closing = false;
     bool cleaned = false;
     uint64_t await_req_id = 0;
@@ -196,10 +206,15 @@ class Server::Impl {
   // What one executed request did, applied back under mu_ by the worker.
   struct ExecResult {
     Response response;
-    bool respond = true;
-    bool park = false;
     lock::TransactionId began = 0;
     lock::TransactionId terminated = 0;
+  };
+
+  // How an OnWaitEnd completion reaches the server: one the service runs
+  // after the server is gone finds `server` null, not freed memory.
+  struct Link {
+    std::mutex mu;
+    Impl* server = nullptr;  // guarded by mu
   };
 
   uint32_t RetryAfterUs() const {
@@ -229,7 +244,10 @@ class Server::Impl {
   void ReactorLoop() {
     std::vector<epoll_event> events(128);
     while (true) {
-      const int timeout_ms = ComputeTimeoutMs();
+      // Sockets and the eventfd (workers, wait-end completions, drain
+      // requests) drive everything; only a drain is re-checked on a timer.
+      const int timeout_ms =
+          draining_.load(std::memory_order_relaxed) ? kDrainTickMs : -1;
       const int n =
           epoll_wait(epoll_fd_, events.data(), static_cast<int>(events.size()),
                      timeout_ms);
@@ -257,21 +275,6 @@ class Server::Impl {
       }
       if (Tick()) break;
     }
-  }
-
-  int ComputeTimeoutMs() const {
-    // Pending awaits and drain progress are polled states; everything
-    // else is event-driven (sockets, worker eventfd wakeups).
-    bool poll;
-    {
-      std::scoped_lock lock(mu_);
-      poll = awaiting_count_ > 0 || draining_.load(std::memory_order_relaxed);
-    }
-    if (!poll) return 100;
-    const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                        options_.await_poll)
-                        .count();
-    return ms < 1 ? 1 : static_cast<int>(ms);
   }
 
   void AcceptAll() {
@@ -315,6 +318,10 @@ class Server::Impl {
         session.reader.Append(chunk, static_cast<size_t>(n));
         if (!DrainFrames(session)) return;  // protocol error: closing
         if (static_cast<size_t>(n) < sizeof(chunk)) return;
+        // A peer that keeps the socket full keeps us here: flush as we go,
+        // and stop once it leaves its replies unread (FlushWrites).
+        FlushWrites(session);
+        if ((session.events & EPOLLIN) == 0) return;
         continue;
       }
       if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
@@ -343,9 +350,9 @@ class Server::Impl {
       std::scoped_lock lock(mu_);
       if (session.closing) return false;
       ++stats_.requests;
-      const size_t inflight = session.inbox.size() +
-                              (session.executing ? 1 : 0) +
-                              (session.awaiting ? 1 : 0);
+      const size_t inflight =
+          session.inbox.size() +
+          (session.executing || session.awaiting ? 1 : 0);
       if (inflight >= options_.max_inflight_per_session) {
         ++stats_.inflight_rejects;
         Response shed;
@@ -388,10 +395,6 @@ class Server::Impl {
   void MarkClosingLocked(Session& session) {
     if (session.closing) return;
     session.closing = true;
-    if (session.awaiting) {
-      session.awaiting = false;
-      --awaiting_count_;
-    }
     auto it = sessions_.find(session.fd);
     if (it != sessions_.end()) ScheduleLocked(it->second);
   }
@@ -399,15 +402,22 @@ class Server::Impl {
   // Hands the session to a worker when it has runnable work and no
   // worker owns it.  mu_ held.
   void ScheduleLocked(const std::shared_ptr<Session>& session) {
-    if (session->executing || session->awaiting || session->cleaned) return;
-    if (session->inbox.empty() && !session->closing) return;
+    if (session->executing || session->cleaned) return;
+    // A parked Await holds the queue back; a closing session's Cleanup
+    // answers it.
+    if (!session->closing && (session->awaiting || session->inbox.empty())) {
+      return;
+    }
     session->executing = true;
     run_queue_.push_back(session);
     work_cv_.notify_one();
   }
 
   // Moves worker-produced bytes into the reactor-owned write buffer and
-  // pushes them into the socket.  Arms/disarms EPOLLOUT as needed.
+  // pushes them into the socket, then sets the session's epoll interest:
+  // EPOLLOUT while bytes wait for the socket, and EPOLLIN except once
+  // more than kMaxFrameBytes of replies went unwritten — a peer that does
+  // not read its replies is not read either, until they have all flushed.
   void FlushWrites(Session& session) {
     {
       std::scoped_lock lock(mu_);
@@ -417,40 +427,37 @@ class Server::Impl {
       }
     }
     while (!session.pending_write.empty()) {
-      const ssize_t n = write(session.fd, session.pending_write.data(),
-                              session.pending_write.size());
+      // MSG_NOSIGNAL: writing to a peer that reset the connection fails
+      // with EPIPE instead of raising SIGPIPE, which kills the process.
+      const ssize_t n = send(session.fd, session.pending_write.data(),
+                             session.pending_write.size(), MSG_NOSIGNAL);
       if (n > 0) {
         session.pending_write.erase(0, static_cast<size_t>(n));
         continue;
       }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        if (!session.want_write) {
-          epoll_event ev{};
-          ev.events = EPOLLIN | EPOLLOUT;
-          ev.data.fd = session.fd;
-          epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, session.fd, &ev);
-          session.want_write = true;
-        }
-        return;
-      }
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
       MarkClosing(session);  // write error: the peer is gone
       return;
     }
-    if (session.want_write) {
-      epoll_event ev{};
-      ev.events = EPOLLIN;
-      ev.data.fd = session.fd;
-      epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, session.fd, &ev);
-      session.want_write = false;
+    uint32_t events = EPOLLIN;
+    if (!session.pending_write.empty()) {
+      events = EPOLLOUT;
+      if (session.pending_write.size() <= kMaxFrameBytes) {
+        events |= session.events & EPOLLIN;  // resumes only once flushed
+      }
     }
+    if (events == session.events) return;
+    epoll_event ev{};
+    ev.events = events;
+    ev.data.fd = session.fd;
+    epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, session.fd, &ev);
+    session.events = events;
   }
 
-  // One reactor housekeeping round: resolve awaits, flush writes, retire
-  // cleaned sessions, advance the drain.  Returns true when the server
-  // is fully drained and the reactor should exit.
+  // One reactor housekeeping round: flush writes, retire cleaned
+  // sessions, advance the drain.  Returns true when the server is fully
+  // drained and the reactor should exit.
   bool Tick() {
-    ResolveAwaits();
-
     std::vector<std::shared_ptr<Session>> flush;
     std::vector<std::shared_ptr<Session>> retire;
     {
@@ -483,63 +490,6 @@ class Server::Impl {
       listen_fd_ = -1;
     }
     return AdvanceDrain();
-  }
-
-  void ResolveAwaits() {
-    struct Pending {
-      std::shared_ptr<Session> session;
-      lock::TransactionId tid;
-      uint64_t req_id;
-    };
-    std::vector<Pending> pending;
-    {
-      std::scoped_lock lock(mu_);
-      if (awaiting_count_ == 0) return;
-      for (auto& [fd, session] : sessions_) {
-        if (session->awaiting && !session->closing) {
-          pending.push_back({session, session->await_tid,
-                             session->await_req_id});
-        }
-      }
-    }
-    for (const Pending& p : pending) {
-      Result<txn::TxnState> state = service_->State(p.tid);
-      Response response;
-      response.type = MsgType::kAwait;
-      response.req_id = p.req_id;
-      if (!state.ok()) {
-        SetResponseStatus(state.status(), 0, &response);
-      } else {
-        switch (*state) {
-          case txn::TxnState::kBlocked:
-            continue;  // still waiting
-          case txn::TxnState::kActive:
-            break;  // granted: kOk
-          case txn::TxnState::kAborted:
-            SetResponseStatus(
-                Status::DeadlockVictim(common::Format(
-                    "T%u aborted as deadlock victim while waiting", p.tid)),
-                0, &response);
-            break;
-          case txn::TxnState::kCommitted:
-            SetResponseStatus(
-                Status::FailedPrecondition(common::Format(
-                    "T%u is committed; nothing to await", p.tid)),
-                0, &response);
-            break;
-        }
-      }
-      std::scoped_lock lock(mu_);
-      if (!p.session->awaiting || p.session->await_req_id != p.req_id) {
-        continue;  // the session closed (or was cleaned) in the meantime
-      }
-      p.session->awaiting = false;
-      p.session->await_req_id = 0;  // answered: Cleanup must not repeat it
-      --awaiting_count_;
-      p.session->out += EncodeResponse(response);
-      ++stats_.responses;
-      ScheduleLocked(p.session);
-    }
   }
 
   // Drain engine: once every in-flight transaction has terminated — or
@@ -617,30 +567,32 @@ class Server::Impl {
         }
         Request request = std::move(session->inbox.front());
         session->inbox.pop_front();
+        if (request.type == MsgType::kAwait) {
+          // Its completion answers it — at once, on this thread, unless
+          // the transaction is blocked.
+          session->awaiting = true;
+          session->await_req_id = request.req_id;
+          session->await_tid = request.tid;
+          lock.unlock();
+          service_->OnWaitEnd(
+              request.tid, [link = link_, session, req_id = request.req_id](
+                               const Status& status) {
+                std::scoped_lock link_lock(link->mu);
+                if (link->server == nullptr) return;
+                link->server->FinishAwait(session, req_id, status);
+              });
+          lock.lock();
+          if (!session->awaiting || session->closing) continue;
+          session->executing = false;  // FinishAwait reschedules it
+          break;
+        }
         lock.unlock();
         ExecResult result = Execute(request);
         lock.lock();
         if (result.began != 0) session->txns.insert(result.began);
         if (result.terminated != 0) session->txns.erase(result.terminated);
-        if (result.park && !session->closing) {
-          session->awaiting = true;
-          session->await_req_id = request.req_id;
-          session->await_tid = request.tid;
-          ++awaiting_count_;
-          session->executing = false;
-          break;
-        }
-        if (result.respond || result.park) {
-          // A parked await on a session that started closing mid-call is
-          // answered here instead of parking (the peer is gone anyway).
-          if (result.park) {
-            SetResponseStatus(
-                Status::FailedPrecondition("session closing"), 0,
-                &result.response);
-          }
-          session->out += EncodeResponse(result.response);
-          ++stats_.responses;
-        }
+        session->out += EncodeResponse(result.response);
+        ++stats_.responses;
       }
       WakeReactor();  // new bytes to flush / a cleaned session to retire
     }
@@ -680,35 +632,8 @@ class Server::Impl {
         }
         break;
       }
-      case MsgType::kAwait: {
-        Result<txn::TxnState> state = service_->State(request.tid);
-        if (!state.ok()) {
-          SetResponseStatus(state.status(), 0, &response);
-          break;
-        }
-        switch (*state) {
-          case txn::TxnState::kBlocked:
-            result.park = true;
-            result.respond = false;
-            break;
-          case txn::TxnState::kActive:
-            break;  // kOk
-          case txn::TxnState::kAborted:
-            SetResponseStatus(
-                Status::DeadlockVictim(common::Format(
-                    "T%u aborted as deadlock victim while waiting",
-                    request.tid)),
-                0, &response);
-            break;
-          case txn::TxnState::kCommitted:
-            SetResponseStatus(
-                Status::FailedPrecondition(common::Format(
-                    "T%u is committed; nothing to await", request.tid)),
-                0, &response);
-            break;
-        }
-        break;
-      }
+      case MsgType::kAwait:
+        break;  // parked by WorkerLoop, never executed here
       case MsgType::kCommit: {
         Status committed = service_->Commit(request.tid);
         SetResponseStatus(committed, 0, &response);
@@ -775,6 +700,23 @@ class Server::Impl {
     return result;
   }
 
+  // Answers the session's Await `req_id` with `status`, unless it was
+  // answered already (by Cleanup), and lets the session's queue run on.
+  void FinishAwait(const std::shared_ptr<Session>& session, uint64_t req_id,
+                   const Status& status) {
+    Response response;
+    response.type = MsgType::kAwait;
+    response.req_id = req_id;
+    SetResponseStatus(status, 0, &response);
+    std::scoped_lock lock(mu_);
+    if (!session->awaiting || session->await_req_id != req_id) return;
+    session->awaiting = false;
+    session->out += EncodeResponse(response);
+    ++stats_.responses;
+    ScheduleLocked(session);
+    WakeReactor();
+  }
+
   // Dead-peer / drain cleanup, run as the session's final serialized
   // task: abort every live transaction the session owns (releasing its
   // locks and unblocking waiters), then answer anything still queued so
@@ -790,13 +732,14 @@ class Server::Impl {
       txns.assign(session.txns.begin(), session.txns.end());
       session.txns.clear();
       unanswered.swap(session.inbox);
-      // MarkClosingLocked cleared `awaiting`, but the request itself
-      // still needs its response.
-      if (session.await_req_id != 0) {
+      // An Await whose wait has not ended — on another session's
+      // transaction, say — is answered here; its completion, when it
+      // runs, finds it answered.
+      if (session.awaiting) {
         was_awaiting = true;
         await_req_id = session.await_req_id;
         await_tid = session.await_tid;
-        session.await_req_id = 0;
+        session.awaiting = false;
       }
     }
     uint64_t aborted = 0;
@@ -834,6 +777,7 @@ class Server::Impl {
 
   ServerOptions options_;
   txn::ConcurrentLockService* service_;
+  const std::shared_ptr<Link> link_ = std::make_shared<Link>();
 
   int listen_fd_ = -1;
   int epoll_fd_ = -1;
@@ -852,7 +796,6 @@ class Server::Impl {
   std::condition_variable work_cv_;
   std::map<int, std::shared_ptr<Session>> sessions_;
   std::deque<std::shared_ptr<Session>> run_queue_;
-  size_t awaiting_count_ = 0;
   bool stop_workers_ = false;
   ServerStats stats_;
 

@@ -14,11 +14,12 @@
 //     is also what makes dead-peer cleanup safe: it runs as the
 //     session's final serialized task.
 //   * Blocked acquires never park a thread: Acquire maps to
-//     AcquireAsync, and an Await whose transaction is still kBlocked
-//     parks the *session* on the reactor's pending-await list, polled
-//     every await_poll until the detector or a release flips the
-//     transaction's state.  One reactor thread multiplexes every
-//     blocked client.
+//     AcquireAsync, and an Await parks the *session* on a
+//     ConcurrentLockService::OnWaitEnd completion.  Whoever ends the wait
+//     — a releasing Commit/Abort, a detection pass — runs the completion,
+//     which queues the answer and wakes the reactor through its eventfd.
+//     Nothing polls: the reactor sleeps in epoll_wait until an event
+//     arrives (a draining server re-checks its drain every millisecond).
 //
 // Session model: one TCP connection == one session.  Transactions begun
 // on a session belong to it; when the peer dies (EOF, read/write error,
@@ -28,6 +29,9 @@
 // Backpressure: admission sheds from the service (kResourceExhausted)
 // and the per-session in-flight cap surface as responses carrying
 // `retry_after_us` — a wire-level retry-after, never a dropped request.
+// A session whose unwritten replies pass kMaxFrameBytes is not read
+// until they have flushed, so a peer that never reads cannot grow the
+// daemon's memory.
 //
 // Drain (SIGTERM in twbg-serverd): BeginDrain stops accepting, rejects
 // new Begins with kResourceExhausted("draining"), lets in-flight
@@ -65,13 +69,11 @@ struct ServerOptions {
   /// How long BeginDrain lets in-flight transactions finish before
   /// aborting them.
   std::chrono::milliseconds drain_deadline{2000};
-  /// Reactor poll granularity for pending awaits (and drain progress).
-  std::chrono::microseconds await_poll{1000};
   /// The retry-after hint stamped on kResourceExhausted responses.
   std::chrono::microseconds retry_after{1000};
 
   /// Rejects an empty host, worker_threads outside [1, 64], zero
-  /// max_sessions / max_inflight_per_session / await_poll.
+  /// max_sessions / max_inflight_per_session, and negative durations.
   Status Validate() const;
 };
 

@@ -93,10 +93,13 @@ Status TcpClient::RoundTrip(const Request& request, Response* response) {
   const std::string frame = EncodeRequest(stamped);
   size_t sent = 0;
   while (sent < frame.size()) {
-    const ssize_t n = write(fd_, frame.data() + sent, frame.size() - sent);
+    // MSG_NOSIGNAL: a daemon that closed the connection is an EPIPE
+    // error here, not a SIGPIPE that kills the client.
+    const ssize_t n =
+        send(fd_, frame.data() + sent, frame.size() - sent, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
-      return Errno("write");
+      return Errno("send");
     }
     sent += static_cast<size_t>(n);
   }

@@ -51,6 +51,18 @@ obs::Event FaultEvent(const robustness::Fault& fault) {
   return event;
 }
 
+// What a wait that ended in `state` (never kBlocked) reports to its
+// waiter: AcquireBlocking, CancelWait and every OnWaitEnd completion.
+Status WaitEndStatus(lock::TransactionId tid, TxnState state) {
+  if (state == TxnState::kActive) return Status::OK();
+  if (state == TxnState::kCommitted) {
+    return Status::FailedPrecondition(
+        common::Format("T%u is committed; nothing to await", tid));
+  }
+  return Status::DeadlockVictim(
+      common::Format("T%u aborted as deadlock victim while waiting", tid));
+}
+
 }  // namespace
 
 Status ConcurrentServiceOptions::Validate() const {
@@ -412,10 +424,9 @@ Status ConcurrentLockService::AcquireBlocking(lock::TransactionId tid,
         shard.cv.wait_for(sl, kWaitPoll);
       }
     }
-    if (rec->state.load(std::memory_order_relaxed) != TxnState::kActive) {
-      return Status::DeadlockVictim(
-          common::Format("T%u aborted as deadlock victim while waiting", tid));
-    }
+    Status ended =
+        WaitEndStatus(tid, rec->state.load(std::memory_order_relaxed));
+    if (!ended.ok()) return ended;
   }
   sl.unlock();
   if (grant_delay_us != 0) {
@@ -426,12 +437,31 @@ Status ConcurrentLockService::AcquireBlocking(lock::TransactionId tid,
 
 Result<lock::RequestOutcome> ConcurrentLockService::AcquireAsync(
     lock::TransactionId tid, lock::ResourceId rid, lock::LockMode mode) {
-  // A later grant flips the record's atomic state via ReactivateLocked
-  // whether or not a thread is parked, so callers observe it through
-  // State(tid).
+  // No thread parks here: whoever ends a kBlocked wait runs the
+  // transaction's OnWaitEnd completions.
   std::unique_lock<std::mutex> sl;
   TxnRecord* rec = nullptr;
   return Register(tid, rid, mode, &sl, &rec);
+}
+
+void ConcurrentLockService::OnWaitEnd(lock::TransactionId tid,
+                                      WaitCompletion done) {
+  std::unique_lock<std::mutex> tl(txn_mu_);
+  auto it = txns_.find(tid);
+  if (it == txns_.end()) {
+    tl.unlock();
+    done(Status::NotFound(common::Format("unknown transaction T%u", tid)));
+    return;
+  }
+  // Every way out of kBlocked holds txn_mu_ (TransitionLocked), so the
+  // wait cannot end between this check and the registration.
+  const TxnState state = it->second.state.load(std::memory_order_relaxed);
+  if (state == TxnState::kBlocked) {
+    wait_ends_[tid].push_back(std::move(done));
+    return;
+  }
+  tl.unlock();
+  done(WaitEndStatus(tid, state));
 }
 
 Result<lock::RequestOutcome> ConcurrentLockService::Register(
@@ -569,11 +599,7 @@ Status ConcurrentLockService::CancelWait(lock::TransactionId tid,
   // changes waiter states only while holding it — whichever of {grant,
   // abort, expiry} we observe first under txn_mu_ is the wait's single
   // resolution.
-  if (state == TxnState::kActive) return Status::OK();
-  if (state != TxnState::kBlocked) {
-    return Status::DeadlockVictim(
-        common::Format("T%u aborted as deadlock victim while waiting", tid));
-  }
+  if (state != TxnState::kBlocked) return WaitEndStatus(tid, state);
   std::unique_lock<std::mutex> ol(obs_mu_, std::defer_lock);
   if (observed()) ol.lock();
   const lock::TxnLockInfo* info = shard.lm.Info(tid);
@@ -583,7 +609,7 @@ Status ConcurrentLockService::CancelWait(lock::TransactionId tid,
   const uint64_t span = info->wait_span;
   Result<std::vector<lock::TransactionId>> granted = shard.lm.CancelWait(tid);
   TWBG_CHECK(granted.ok());
-  rec.state.store(TxnState::kActive, std::memory_order_relaxed);
+  TransitionLocked(tid, rec, TxnState::kActive);
   rec.deadline_expiries++;
   rec.blocked_sweeps = 0;
   deadline_expiries_.fetch_add(1, std::memory_order_relaxed);
@@ -660,8 +686,8 @@ Status ConcurrentLockService::Terminate(lock::TransactionId tid, bool commit) {
     }
     std::unique_lock<std::mutex> ol(obs_mu_, std::defer_lock);
     if (observed()) ol.lock();
-    rec.state.store(commit ? TxnState::kCommitted : TxnState::kAborted,
-                    std::memory_order_relaxed);
+    TransitionLocked(tid, rec,
+                     commit ? TxnState::kCommitted : TxnState::kAborted);
     --live_txns_;
     if (obs::Enabled(bus_)) {
       obs::Event event;
@@ -1118,7 +1144,7 @@ core::ResolutionReport ConcurrentLockService::RunTimeoutSweep() {
     }
     for (lock::TransactionId victim : victims) {
       TxnRecord& rec = txns_.at(victim);
-      rec.state.store(TxnState::kAborted, std::memory_order_relaxed);
+      TransitionLocked(victim, rec, TxnState::kAborted);
       // Deliberately NOT flagged deadlock_victim: a timeout abort is a
       // guess, not a detected cycle; it lands in sweep_aborts() instead.
       --live_txns_;
@@ -1197,7 +1223,7 @@ void ConcurrentLockService::ApplyReportLocked(
   for (lock::TransactionId victim : report.aborted) {
     auto it = txns_.find(victim);
     if (it == txns_.end()) continue;
-    it->second.state.store(TxnState::kAborted, std::memory_order_relaxed);
+    TransitionLocked(victim, it->second, TxnState::kAborted);
     it->second.deadlock_victim = true;
     --live_txns_;
     ++deadlock_victims_;
@@ -1223,11 +1249,21 @@ void ConcurrentLockService::ReactivateLocked(
     if (rec.state.load(std::memory_order_relaxed) != TxnState::kBlocked) {
       continue;
     }
-    rec.state.store(TxnState::kActive, std::memory_order_relaxed);
+    TransitionLocked(g, rec, TxnState::kActive);
     rec.locks_granted++;
     rec.blocked_sweeps = 0;
     RefreshCostLocked(g, rec);
   }
+}
+
+void ConcurrentLockService::TransitionLocked(lock::TransactionId tid,
+                                             TxnRecord& rec, TxnState to) {
+  rec.state.store(to, std::memory_order_relaxed);
+  if (wait_ends_.empty()) return;
+  auto waiters = wait_ends_.extract(tid);
+  if (waiters.empty()) return;
+  const Status status = WaitEndStatus(tid, to);
+  for (WaitCompletion& done : waiters.mapped()) done(status);
 }
 
 void ConcurrentLockService::PublishShardStatsLocked() {

@@ -82,6 +82,9 @@
 // emission points — sinks see one totally ordered stream that is a true
 // linearization of the lock-state history (the replay-parity stress suite
 // depends on this).  Sink callbacks must not call back into the service.
+// Neither may OnWaitEnd completions, which run under the same locks; a
+// completion may take its owner's locks (the daemon takes its session
+// mutex) as long as the owner never calls the service while holding them.
 //
 // Wait-span caveat: with several shards, wait-span ids are per-shard
 // domains (each shard's LockManager numbers its own spans), so span values
@@ -99,6 +102,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "common/macros.h"
@@ -273,9 +277,10 @@ class ConcurrentLockService {
   ///                 the resolution of the cycle this request closed);
   ///   kAlreadyHeld  `tid` already holds `mode` (or stronger) on `rid`;
   ///   kBlocked      queued; the transaction is kBlocked until a release
-  ///                 or a resolution reactivates (or aborts) it — poll
-  ///                 State(tid) for the transition (kActive: granted;
-  ///                 kAborted: deadlock victim).
+  ///                 or a resolution reactivates (or aborts) it —
+  ///                 OnWaitEnd(tid, ...) is called back with the outcome
+  ///                 (State(tid) shows it too: kActive granted, kAborted
+  ///                 deadlock victim).
   /// A requester that continuous detection picked as the victim of the
   /// cycle it closed gets kDeadlockVictim, as from AcquireBlocking.
   /// Admission watermarks apply exactly as in AcquireBlocking
@@ -287,6 +292,19 @@ class ConcurrentLockService {
   Result<lock::RequestOutcome> AcquireAsync(lock::TransactionId tid,
                                             lock::ResourceId rid,
                                             lock::LockMode mode);
+
+  /// The callback OnWaitEnd runs once with the status that ends a wait.
+  using WaitCompletion = std::function<void(const Status&)>;
+
+  /// One-shot wait-end completion: `done` receives what LockClient::Await
+  /// reports for `tid` — kOk granted, kDeadlockVictim aborted,
+  /// kFailedPrecondition committed, kNotFound unknown.  It runs at once,
+  /// on this thread and with no service lock held, when `tid` is not
+  /// blocked; otherwise exactly once, on the thread that ends the wait
+  /// (a releasing Commit/Abort, a detection pass, a deadline), before that
+  /// call returns and under the service's locks — so it must not call
+  /// back into the service.  One transaction may carry several.
+  void OnWaitEnd(lock::TransactionId tid, WaitCompletion done);
 
   /// Pins `tid`'s abort cost to `cost`: the value replaces the
   /// policy-computed cost and is no longer refreshed on subsequent
@@ -534,6 +552,11 @@ class ConcurrentLockService {
   // budget degrades the next scheduled passes to the timeout sweep.
   void RecordFullPassPause(uint64_t pause_ns);
 
+  // Every state change of a record except the one into kBlocked: stores
+  // `to` and runs (and drops) the OnWaitEnd completions registered on
+  // `tid`, which exist only while it is blocked.  txn_mu_ held.
+  void TransitionLocked(lock::TransactionId tid, TxnRecord& rec, TxnState to);
+
   // Applies a resolution under the locks that produced it (a pass's, or
   // a blocking acquire's): victims to kAborted (flagged, costs erased,
   // kTxnAbort a=1), granted waiters back to kActive.
@@ -588,11 +611,15 @@ class ConcurrentLockService {
   // under the one shard's mutex.  Null under kPeriodic.
   std::unique_ptr<core::ContinuousDetector> continuous_;
 
-  // Transaction table; guards txns_, costs_, next_tid_, next_ts_,
-  // live_txns_ and deadlock_victims_.  Acquired after any shard mutexes,
-  // before obs_mu_.
+  // Transaction table; guards txns_, wait_ends_, costs_, next_tid_,
+  // next_ts_, live_txns_ and deadlock_victims_.  Acquired after any shard
+  // mutexes, before obs_mu_.
   mutable std::mutex txn_mu_;
   std::map<lock::TransactionId, TxnRecord> txns_;
+  // OnWaitEnd completions of blocked transactions — a side table because
+  // TxnRecords are never freed and few are ever awaited.
+  std::unordered_map<lock::TransactionId, std::vector<WaitCompletion>>
+      wait_ends_;
   core::CostTable costs_;
   lock::TransactionId next_tid_ = 1;
   uint64_t next_ts_ = 1;

@@ -2,22 +2,9 @@
 
 #include "txn/lock_client.h"
 
-#include <chrono>
-#include <thread>
-
-#include "common/string_util.h"
+#include <future>
 
 namespace twbg::txn {
-
-namespace {
-
-// Await polls the transaction's atomic state at this granularity.  A
-// grant or victim abort flips the state from another thread (a releasing
-// client or the detector), so there is no wakeup to subscribe to — the
-// same reason the daemon reactor polls its pending awaits.
-constexpr std::chrono::microseconds kAwaitPoll{200};
-
-}  // namespace
 
 DetectResult ProjectReport(const core::ResolutionReport& report) {
   DetectResult result;
@@ -49,23 +36,12 @@ Result<lock::RequestOutcome> InProcessClient::Acquire(lock::TransactionId tid,
 }
 
 Status InProcessClient::Await(lock::TransactionId tid) {
-  while (true) {
-    Result<TxnState> state = service_->State(tid);
-    if (!state.ok()) return state.status();
-    switch (*state) {
-      case TxnState::kActive:
-        return Status::OK();
-      case TxnState::kBlocked:
-        break;
-      case TxnState::kAborted:
-        return Status::DeadlockVictim(common::Format(
-            "T%u aborted as deadlock victim while waiting", tid));
-      case TxnState::kCommitted:
-        return Status::FailedPrecondition(
-            common::Format("T%u is committed; nothing to await", tid));
-    }
-    std::this_thread::sleep_for(kAwaitPoll);
-  }
+  // The completion owns the promise: set_value may still be running on
+  // the thread that ended the wait when get() returns here.
+  auto ended = std::make_shared<std::promise<Status>>();
+  std::future<Status> status = ended->get_future();
+  service_->OnWaitEnd(tid, [ended](const Status& s) { ended->set_value(s); });
+  return status.get();
 }
 
 Status InProcessClient::Commit(lock::TransactionId tid) {

@@ -89,9 +89,10 @@ class LockClient {
                                                lock::ResourceId rid,
                                                lock::LockMode mode) = 0;
 
-  /// Blocks the *client* until a kBlocked transaction leaves the wait:
-  /// kOk when the lock was granted, kDeadlockVictim when a detection
-  /// pass aborted it.  Immediately kOk for an active transaction.
+  /// Blocks the *client* until a kBlocked transaction leaves the wait and
+  /// returns its ConcurrentLockService::OnWaitEnd status: kOk when the
+  /// lock was granted, kDeadlockVictim when it was aborted; at once for a
+  /// transaction that is not blocked.  Neither implementation polls.
   virtual Status Await(lock::TransactionId tid) = 0;
 
   /// Commits and releases; wakes any waiter this unblocks.

@@ -9,7 +9,10 @@
 
 #include <atomic>
 #include <barrier>
+#include <memory>
+#include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace twbg::txn {
@@ -289,6 +292,116 @@ TEST(ConcurrentServiceCreateTest, PeriodicCrossDeadlockResolvedByThread) {
   EXPECT_EQ(commits.load(), 1);
   EXPECT_EQ(s.deadlock_victims(), 1u);
   EXPECT_GE(s.snapshot_epoch(), 1u);
+}
+
+// Every call of the completions it hands out: the Status and the thread
+// the completion ran on.
+class WaitEndLog {
+ public:
+  ConcurrentLockService::WaitCompletion Completion() {
+    return [this](const Status& status) {
+      std::scoped_lock lock(mu_);
+      calls_.push_back({std::this_thread::get_id(), status});
+    };
+  }
+  std::vector<std::pair<std::thread::id, Status>> calls() {
+    std::scoped_lock lock(mu_);
+    return calls_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::vector<std::pair<std::thread::id, Status>> calls_;
+};
+
+std::unique_ptr<ConcurrentLockService> ManualPeriodicService() {
+  ConcurrentServiceOptions options;
+  options.detection_mode = DetectionMode::kPeriodic;  // no detector thread
+  auto service = ConcurrentLockService::Create(options);
+  EXPECT_TRUE(service.ok()) << service.status().ToString();
+  return std::move(*service);
+}
+
+TEST(OnWaitEndTest, RunsAtOnceUnlessBlocked) {
+  auto service = ManualPeriodicService();
+  const lock::TransactionId active = *service->Begin();
+  const lock::TransactionId committed = *service->Begin();
+  const lock::TransactionId aborted = *service->Begin();
+  ASSERT_TRUE(service->Commit(committed).ok());
+  ASSERT_TRUE(service->Abort(aborted).ok());
+  WaitEndLog log;
+  for (lock::TransactionId tid : {active, committed, aborted, 999u}) {
+    service->OnWaitEnd(tid, log.Completion());
+  }
+  // The statuses LockClient::Await reports for each; all on this thread.
+  const auto calls = log.calls();
+  ASSERT_EQ(calls.size(), 4u);
+  for (const auto& [thread, status] : calls) {
+    EXPECT_EQ(thread, std::this_thread::get_id());
+  }
+  EXPECT_TRUE(calls[0].second.ok());
+  EXPECT_TRUE(calls[1].second.IsFailedPrecondition());
+  EXPECT_TRUE(calls[2].second.IsDeadlockVictim());
+  EXPECT_TRUE(calls[3].second.IsNotFound());
+}
+
+TEST(OnWaitEndTest, RunsOnTheReleasingThreadBeforeCommitReturns) {
+  auto service = ManualPeriodicService();
+  const lock::TransactionId holder = *service->Begin();
+  const lock::TransactionId waiter = *service->Begin();
+  ASSERT_TRUE(service->AcquireBlocking(holder, 1, kX).ok());
+  ASSERT_EQ(*service->AcquireAsync(waiter, 1, kS),
+            lock::RequestOutcome::kBlocked);
+  WaitEndLog log;
+  service->OnWaitEnd(waiter, log.Completion());
+  service->OnWaitEnd(waiter, log.Completion());  // two on one id
+  EXPECT_TRUE(log.calls().empty());
+
+  std::thread::id releasing;
+  size_t fired_before_return = 0;
+  std::thread releaser([&] {
+    releasing = std::this_thread::get_id();
+    EXPECT_TRUE(service->Commit(holder).ok());
+    fired_before_return = log.calls().size();
+  });
+  releaser.join();
+  EXPECT_EQ(fired_before_return, 2u);
+  for (const auto& [thread, status] : log.calls()) {
+    EXPECT_EQ(thread, releasing);
+    EXPECT_TRUE(status.ok()) << status.ToString();
+  }
+  // One-shot: later transitions of the same transaction run nothing.
+  ASSERT_TRUE(service->Commit(waiter).ok());
+  EXPECT_EQ(log.calls().size(), 2u);
+}
+
+TEST(OnWaitEndTest, DetectionPassEndsVictimAndSurvivorWaits) {
+  auto service = ManualPeriodicService();
+  const lock::TransactionId t1 = *service->Begin();
+  const lock::TransactionId t2 = *service->Begin();
+  ASSERT_TRUE(service->AcquireBlocking(t1, 1, kX).ok());
+  ASSERT_TRUE(service->AcquireBlocking(t2, 2, kX).ok());
+  ASSERT_EQ(*service->AcquireAsync(t1, 2, kX), lock::RequestOutcome::kBlocked);
+  ASSERT_EQ(*service->AcquireAsync(t2, 1, kX), lock::RequestOutcome::kBlocked);
+  ASSERT_TRUE(service->SetCost(t1, 1.0).ok());  // the cheaper victim
+  ASSERT_TRUE(service->SetCost(t2, 10.0).ok());
+  WaitEndLog victim;
+  WaitEndLog survivor;
+  service->OnWaitEnd(t1, victim.Completion());
+  service->OnWaitEnd(t2, survivor.Completion());
+
+  const core::ResolutionReport report = service->RunDetectionPass();
+  ASSERT_EQ(report.aborted, std::vector<lock::TransactionId>{t1});
+  const auto victim_calls = victim.calls();
+  const auto survivor_calls = survivor.calls();
+  ASSERT_EQ(victim_calls.size(), 1u);
+  ASSERT_EQ(survivor_calls.size(), 1u);
+  EXPECT_TRUE(victim_calls[0].second.IsDeadlockVictim());
+  EXPECT_TRUE(survivor_calls[0].second.ok());
+  EXPECT_EQ(victim_calls[0].first, std::this_thread::get_id());
+  EXPECT_EQ(survivor_calls[0].first, std::this_thread::get_id());
+  ASSERT_TRUE(service->Commit(t2).ok());
+  EXPECT_EQ(survivor.calls().size(), 1u);
 }
 
 }  // namespace

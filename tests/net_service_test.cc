@@ -8,7 +8,9 @@
 // in-flight cap, protocol-error handling, and the continuous detection
 // policy behind both LockClient implementations.
 
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -16,7 +18,9 @@
 
 #include <arpa/inet.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <memory>
@@ -93,7 +97,10 @@ TEST(ServerOptionsTest, ValidateRejectsOutOfDomain) {
   options.max_inflight_per_session = 0;
   EXPECT_TRUE(options.Validate().IsInvalidArgument());
   options = {};
-  options.await_poll = std::chrono::microseconds(0);
+  options.drain_deadline = std::chrono::milliseconds(-1);
+  EXPECT_TRUE(options.Validate().IsInvalidArgument());
+  options = {};
+  options.retry_after = std::chrono::microseconds(-1);
   EXPECT_TRUE(options.Validate().IsInvalidArgument());
   EXPECT_TRUE(ServerOptions{}.Validate().ok());
 }
@@ -144,6 +151,7 @@ TEST(NetServiceTest, ServerSideAwaitUnblocksOnGrant) {
   Harness harness = StartServer();
   auto holder = Connect(harness);
   auto waiter = Connect(harness);
+  auto observer = Connect(harness);  // a second session awaiting the same
 
   auto h = holder->Begin();
   auto w = waiter->Begin();
@@ -157,10 +165,12 @@ TEST(NetServiceTest, ServerSideAwaitUnblocksOnGrant) {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
     EXPECT_TRUE(holder->Commit(*h).ok());
   });
+  std::thread observing([&] { EXPECT_TRUE(observer->Await(*w).ok()); });
   // Await blocks on the daemon (session parked, no thread pinned) until
-  // the commit hands the lock over.
+  // the commit hands the lock over; both parked sessions are answered.
   EXPECT_TRUE(waiter->Await(*w).ok());
   releaser.join();
+  observing.join();
   EXPECT_TRUE(waiter->Commit(*w).ok());
 }
 
@@ -243,8 +253,8 @@ TEST(NetServiceTest, AwaitAnsweredOnceWhenSessionCloses) {
   ASSERT_TRUE(h.ok());
   ASSERT_TRUE(holder->Acquire(*h, 1, lock::LockMode::kX).ok());
   {
-    // The waiter's Await parks on the reactor and is answered by its
-    // poll; closing the session afterwards must not answer it again.
+    // The waiter's Await parks and is answered by its wait-end
+    // completion; closing the session afterwards must not answer it again.
     auto waiter = Connect(harness);
     auto w = waiter->Begin();
     ASSERT_TRUE(w.ok());
@@ -267,6 +277,32 @@ TEST(NetServiceTest, AwaitAnsweredOnceWhenSessionCloses) {
   ASSERT_EQ(stats.sessions_active, 1u);
   EXPECT_EQ(stats.requests, 7u);  // holder 3, waiter 4
   EXPECT_EQ(stats.requests, stats.responses);
+}
+
+TEST(NetServiceTest, AwaitCompletionOutlivingTheServerIsHarmless) {
+  Harness harness = StartServer();
+  // Transactions begun beside the daemon: no session's cleanup ends them,
+  // so the completion a parked Await registers outlives the server.
+  const lock::TransactionId holder = *harness.service->Begin();
+  const lock::TransactionId waiter = *harness.service->Begin();
+  ASSERT_TRUE(
+      harness.service->AcquireBlocking(holder, 1, lock::LockMode::kX).ok());
+  ASSERT_EQ(*harness.service->AcquireAsync(waiter, 1, lock::LockMode::kS),
+            lock::RequestOutcome::kBlocked);
+  auto client = Connect(harness);
+  std::thread awaiting([&] {
+    // Answered by the session's cleanup when the server shuts down.
+    EXPECT_TRUE(client->Await(waiter).IsDeadlockVictim());
+  });
+  while (harness.server->stats().requests == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // parked
+  harness.server.reset();
+  awaiting.join();
+  // Ending the wait now runs that completion with no server behind it.
+  EXPECT_TRUE(harness.service->Commit(holder).ok());
+  EXPECT_EQ(*harness.service->State(waiter), TxnState::kActive);
 }
 
 TEST(NetServiceTest, DeadPeerAbortReleasesLocksAndUnblocksWaiter) {
@@ -486,6 +522,121 @@ TEST(NetServiceTest, InflightCapShedsWithRetryAfter) {
   // The burst overran the cap: some pings were shed, none went dark.
   EXPECT_GT(shed, 0u);
   EXPECT_GE(harness.server->stats().inflight_rejects, shed);
+}
+
+// A raw connection whose receive window is 4 KiB: the daemon's replies to
+// it back up in the daemon instead of in this end's socket buffer.
+int SmallWindowConnect(uint16_t port) {
+  const int fd = socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  const int rcvbuf = 4096;
+  setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  EXPECT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  return fd;
+}
+
+// Sends `count` pings on a non-blocking socket without reading a reply.
+// Stops early once the socket stays unwritable for 300 ms — the daemon
+// has stopped reading.  Returns the number of pings fully sent.
+size_t PipelinePings(int fd, size_t count) {
+  Request ping;
+  ping.type = MsgType::kPing;
+  const std::string frame = EncodeRequest(ping);
+  std::string burst;
+  for (int i = 0; i < 256; ++i) burst += frame;
+  fcntl(fd, F_SETFL, fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
+  size_t sent_bytes = 0;
+  const size_t total_bytes = count * frame.size();
+  while (sent_bytes < total_bytes) {
+    const size_t offset = sent_bytes % burst.size();
+    const size_t len =
+        std::min(burst.size() - offset, total_bytes - sent_bytes);
+    const ssize_t n = send(fd, burst.data() + offset, len, MSG_NOSIGNAL);
+    if (n > 0) {
+      sent_bytes += static_cast<size_t>(n);
+      continue;
+    }
+    if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) break;
+    pollfd writable{fd, POLLOUT, 0};
+    if (poll(&writable, 1, 300) == 0) break;
+  }
+  // A partly sent frame is left unfinished; only whole pings count.
+  return sent_bytes / frame.size();
+}
+
+// Polls the daemon's request counter until it stops moving.
+uint64_t SettledRequests(const Server& server) {
+  uint64_t last = server.stats().requests;
+  for (int i = 0; i < 100; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const uint64_t now = server.stats().requests;
+    if (now == last) return now;
+    last = now;
+  }
+  return last;
+}
+
+TEST(NetServiceTest, PeerResetDoesNotRaiseSigpipe) {
+  Harness harness = StartServer();
+  // A flood of pings leaves the daemon reading requests with its replies
+  // backed up; the client then resets the connection.  The daemon's reads
+  // and writes on it must fail with ECONNRESET / EPIPE, never raise
+  // SIGPIPE — whose default action ends this whole process.
+  const int fd = SmallWindowConnect(harness.port());
+  EXPECT_GT(PipelinePings(fd, 400000), 0u);
+  // Reset once the daemon is reading the flood: it reads on to the end of
+  // what arrived, gets ECONNRESET, and then writes its replies to a dead
+  // connection.
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (harness.server->stats().requests == 0 &&
+         std::chrono::steady_clock::now() < give_up) {
+  }
+  const linger reset{1, 0};  // close sends RST, not FIN
+  setsockopt(fd, SOL_SOCKET, SO_LINGER, &reset, sizeof(reset));
+  close(fd);
+
+  // The dead session is retired only after its last-gasp flush.
+  for (int i = 0; i < 1000 && harness.server->stats().sessions_active != 0;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(harness.server->stats().sessions_active, 0u);
+  auto client = Connect(harness);
+  EXPECT_TRUE(client->Ping().ok());
+}
+
+TEST(NetServiceTest, UnreadRepliesStopTheDaemonReading) {
+  Harness harness = StartServer();
+  const int fd = SmallWindowConnect(harness.port());
+  // A peer that sends without reading: once its unwritten replies pass
+  // the bound, the daemon stops reading its socket, so the requests it
+  // has taken in level off below what was sent instead of its memory
+  // growing with the flood.
+  const size_t sent = PipelinePings(fd, 400000);
+  const uint64_t taken = SettledRequests(*harness.server);
+  EXPECT_LT(taken, sent);
+
+  // Reading the replies lets the daemon read, and answer, the rest.
+  fcntl(fd, F_SETFL, fcntl(fd, F_GETFL, 0) & ~O_NONBLOCK);
+  FrameReader reader;
+  size_t answered = 0;
+  char chunk[64 * 1024];
+  while (answered < sent) {
+    const ssize_t n = read(fd, chunk, sizeof(chunk));
+    ASSERT_GT(n, 0) << "server closed after " << answered << " replies";
+    reader.Append(chunk, static_cast<size_t>(n));
+    std::string payload;
+    while (reader.Next(&payload).ok()) ++answered;
+  }
+  close(fd);
+  EXPECT_EQ(answered, sent);
+  const ServerStats stats = harness.server->stats();
+  EXPECT_EQ(stats.requests, sent);
+  EXPECT_EQ(stats.requests, stats.responses);
 }
 
 TEST(NetServiceTest, ManyConcurrentSessions) {

@@ -71,7 +71,7 @@ TEST(StopwatchTest, ElapsedIsMonotoneAndResets) {
   int64_t first = watch.ElapsedNanos();
   EXPECT_GE(first, 0);
   // Do a little work; elapsed must not go backwards.
-  volatile int sink = 0;
+  volatile int64_t sink = 0;
   for (int i = 0; i < 100000; ++i) sink += i;
   int64_t second = watch.ElapsedNanos();
   EXPECT_GE(second, first);
