@@ -5,8 +5,8 @@
 namespace twbg::core {
 
 double CostTable::Get(lock::TransactionId tid) const {
-  auto it = costs_.find(tid);
-  return it == costs_.end() ? 1.0 : it->second;
+  const double* cost = costs_.Find(tid);
+  return cost == nullptr ? 1.0 : *cost;
 }
 
 void CostTable::Set(lock::TransactionId tid, double cost) {
@@ -15,9 +15,20 @@ void CostTable::Set(lock::TransactionId tid, double cost) {
 
 void CostTable::Bump(lock::TransactionId tid, double multiplier,
                      double increment) {
-  costs_[tid] = Get(tid) * multiplier + increment;
+  auto [cost, inserted] = costs_.TryEmplace(tid);
+  if (inserted) *cost = 1.0;
+  *cost = *cost * multiplier + increment;
 }
 
-void CostTable::Erase(lock::TransactionId tid) { costs_.erase(tid); }
+void CostTable::Erase(lock::TransactionId tid) { costs_.Erase(tid); }
+
+bool operator==(const CostTable& a, const CostTable& b) {
+  if (a.size() != b.size()) return false;
+  for (const auto& entry : a.costs_) {
+    const double* other = b.costs_.Find(entry.key);
+    if (other == nullptr || *other != entry.value) return false;
+  }
+  return true;
+}
 
 }  // namespace twbg::core

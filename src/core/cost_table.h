@@ -4,12 +4,17 @@
 // leaves the metric open ("number of locks it holds, starting time, CPU
 // and I/O time consumed, ...") and assumes a cost-table Cost(Ti); this is
 // that table.  The simulator wires lock counts / work done into it.
+//
+// Storage is a flat hash map (common/flat_map.h): the pauseless pass
+// snapshots the table once per pass and the component-parallel walk hands
+// every component a private copy, so a copy is two array copies and a
+// lookup is one probe.  Nothing depends on the order the entries are
+// stored in.
 
 #ifndef TWBG_CORE_COST_TABLE_H_
 #define TWBG_CORE_COST_TABLE_H_
 
-#include <map>
-
+#include "common/flat_map.h"
 #include "lock/types.h"
 
 namespace twbg::core {
@@ -21,6 +26,12 @@ class CostTable {
 
   /// Cost of aborting `tid` (default 1.0 when unset).
   double Get(lock::TransactionId tid) const;
+
+  /// The explicitly set cost of `tid`, or nullptr when unset.  Valid until
+  /// the next Set/Bump/Erase.
+  const double* Find(lock::TransactionId tid) const {
+    return costs_.Find(tid);
+  }
 
   void Set(lock::TransactionId tid, double cost);
 
@@ -34,15 +45,11 @@ class CostTable {
 
   size_t size() const { return costs_.size(); }
 
-  /// Ordered view of every explicitly set entry.  The component-parallel
-  /// walk hands each component a private copy and merges the entries of
-  /// that component's members back through this view.
-  const std::map<lock::TransactionId, double>& entries() const {
-    return costs_;
-  }
+  /// Same explicitly set tids with the same costs, in any order.
+  friend bool operator==(const CostTable& a, const CostTable& b);
 
  private:
-  std::map<lock::TransactionId, double> costs_;
+  common::FlatMap<lock::TransactionId, double> costs_;
 };
 
 }  // namespace twbg::core

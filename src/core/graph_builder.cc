@@ -8,54 +8,69 @@ namespace twbg::core {
 
 void GraphBuilder::Rebuild(const lock::ResourceState& state,
                            ResourceCache& entry) {
-  ReleaseTxns(entry.txns);
-  total_edges_ -= entry.edges.size();
-  entry.edges.clear();
-  entry.txns.clear();
-  AppendEcrEdgesForResource(state, /*include_sentinels=*/true, entry.edges);
+  // Retain the new participants before releasing the old ones, so a
+  // transaction that stays on the resource never leaves the vertex set.
+  txn_scratch_.clear();
   for (const lock::HolderEntry& h : state.holders()) {
-    entry.txns.push_back(h.tid);
+    txn_scratch_.push_back(h.tid);
   }
   for (const lock::QueueEntry& q : state.queue()) {
-    entry.txns.push_back(q.tid);
+    txn_scratch_.push_back(q.tid);
   }
-  RetainTxns(entry.txns);
+  RetainTxns(txn_scratch_);
+  ReleaseTxns(entry.txns);
+  entry.txns.swap(txn_scratch_);
   entry.version = state.version();
-  total_edges_ += entry.edges.size();
+
+  rebuild_scratch_.clear();
+  AppendEcrEdgesForResource(state, /*include_sentinels=*/true,
+                            rebuild_scratch_);
+  const size_t rebuilt = rebuild_scratch_.size();
+  if (rebuilt == 0) {
+    DropEdges(state.rid());
+  } else {
+    std::vector<TwbgEdge>& list = edge_lists_[state.rid()];
+    total_edges_ -= list.size();
+    list.swap(rebuild_scratch_);
+  }
+  total_edges_ += rebuilt;
   ++stats_.num_dirty_resources;
-  stats_.edges_rebuilt += entry.edges.size();
+  stats_.edges_rebuilt += rebuilt;
 }
 
-void GraphBuilder::Drop(ResourceCache& entry) {
+void GraphBuilder::Drop(lock::ResourceId rid, ResourceCache& entry) {
   ReleaseTxns(entry.txns);
-  total_edges_ -= entry.edges.size();
+  DropEdges(rid);
+}
+
+void GraphBuilder::DropEdges(lock::ResourceId rid) {
+  auto it = edge_lists_.find(rid);
+  if (it == edge_lists_.end()) return;
+  total_edges_ -= it->second.size();
+  edge_lists_.erase(it);
 }
 
 void GraphBuilder::RetainTxns(const std::vector<lock::TransactionId>& txns) {
   for (lock::TransactionId tid : txns) {
-    if (++txn_refs_[tid] == 1) membership_changed_ = true;
+    auto [refs, inserted] = txn_refs_.TryEmplace(tid);
+    ++*refs;
+    if (inserted) {
+      txns_.insert(std::lower_bound(txns_.begin(), txns_.end(), tid), tid);
+    }
   }
 }
 
 void GraphBuilder::ReleaseTxns(const std::vector<lock::TransactionId>& txns) {
   for (lock::TransactionId tid : txns) {
-    auto it = txn_refs_.find(tid);
-    if (--it->second == 0) {
-      txn_refs_.erase(it);
-      membership_changed_ = true;
+    uint32_t* refs = txn_refs_.Find(tid);
+    if (--*refs == 0) {
+      txn_refs_.Erase(tid);
+      txns_.erase(txns_.begin() + SortedIndexOf(txns_, tid));
     }
   }
 }
 
-void GraphBuilder::RefreshTxns() {
-  if (!membership_changed_) return;
-  txns_.clear();
-  txns_.reserve(txn_refs_.size());
-  for (const auto& [tid, refs] : txn_refs_) txns_.push_back(tid);
-  membership_changed_ = false;
-}
-
-void GraphBuilder::Sync(const lock::LockTable& table) {
+void GraphBuilder::Refresh(const lock::LockTable& table) {
   stats_ = {};
   dirty_scratch_.clear();
   const bool journal_ok =
@@ -64,23 +79,20 @@ void GraphBuilder::Sync(const lock::LockTable& table) {
   if (journal_ok) {
     for (lock::ResourceId rid : dirty_scratch_) {
       const lock::ResourceState* state = table.Find(rid);
-      auto it = cache_.find(rid);
       if (state == nullptr) {
         // Mutated away entirely (released and reclaimed).
-        if (it != cache_.end()) {
-          Drop(it->second);
-          cache_.erase(it);
+        if (ResourceCache* entry = cache_.Find(rid); entry != nullptr) {
+          Drop(rid, *entry);
+          cache_.Erase(rid);
         }
         continue;
       }
-      if (it == cache_.end()) {
-        it = cache_.emplace(rid, ResourceCache{}).first;
-      } else if (it->second.version == state->version()) {
-        // Journal marking is conservative (FindMutable counts as a
-        // mutation); the version proves the content did not change.
-        continue;
-      }
-      Rebuild(*state, it->second);
+      auto [entry, inserted] = cache_.TryEmplace(rid);
+      // Journal marking is conservative (FindMutable counts as a
+      // mutation, and ids repeat); an equal version proves the content
+      // did not change.
+      if (!inserted && entry->version == state->version()) continue;
+      Rebuild(*state, *entry);
     }
   } else {
     // First refresh, a different/copied table, or the journal was trimmed
@@ -88,24 +100,20 @@ void GraphBuilder::Sync(const lock::LockTable& table) {
     // entries (equal version — guaranteed identical content, versions are
     // never reused) still serve their cached edges.
     stats_.full_sweep = true;
-    auto it = cache_.begin();
     for (const auto& [rid, state] : table) {
-      while (it != cache_.end() && it->first < rid) {
-        Drop(it->second);
-        it = cache_.erase(it);
-      }
-      if (it != cache_.end() && it->first == rid) {
-        if (it->second.version != state.version()) Rebuild(state, it->second);
-        ++it;
-      } else {
-        it = cache_.emplace_hint(it, rid, ResourceCache{});
-        Rebuild(state, it->second);
-        ++it;
+      auto [entry, inserted] = cache_.TryEmplace(rid);
+      if (inserted || entry->version != state.version()) {
+        Rebuild(state, *entry);
       }
     }
-    while (it != cache_.end()) {
-      Drop(it->second);
-      it = cache_.erase(it);
+    // Then drop the entries of resources the table no longer has.
+    dirty_scratch_.clear();
+    for (const auto& entry : cache_) {
+      if (table.Find(entry.key) == nullptr) dirty_scratch_.push_back(entry.key);
+    }
+    for (lock::ResourceId rid : dirty_scratch_) {
+      Drop(rid, *cache_.Find(rid));
+      cache_.Erase(rid);
     }
   }
   table_uid_ = table.uid();
@@ -114,31 +122,25 @@ void GraphBuilder::Sync(const lock::LockTable& table) {
   stats_.edges_reused = total_edges_ - stats_.edges_rebuilt;
 }
 
-void GraphBuilder::Refresh(const lock::LockTable& table) {
-  Sync(table);
-  RefreshTxns();
-}
-
 Tst& GraphBuilder::RefreshTst(const lock::LockTable& table) {
-  Sync(table);
-  RefreshTxns();
+  Refresh(table);
   edge_scratch_.clear();
   edge_scratch_.reserve(total_edges_);
-  for (const auto& [rid, entry] : cache_) {
-    edge_scratch_.insert(edge_scratch_.end(), entry.edges.begin(),
-                         entry.edges.end());
+  for (const auto& [rid, edges] : edge_lists_) {
+    edge_scratch_.insert(edge_scratch_.end(), edges.begin(), edges.end());
   }
+  // txns_ is sorted, duplicate-free and holds every edge source: the
+  // presorted assembly path.
   tst_.Assemble(edge_scratch_, txns_);
   return tst_;
 }
 
 HwTwbg GraphBuilder::BuildGraph(const lock::LockTable& table) {
-  Sync(table);
-  RefreshTxns();
+  Refresh(table);
   std::vector<TwbgEdge> edges;
   edges.reserve(total_edges_);
-  for (const auto& [rid, entry] : cache_) {
-    for (const TwbgEdge& e : entry.edges) {
+  for (const auto& [rid, list] : edge_lists_) {
+    for (const TwbgEdge& e : list) {
       if (!e.IsSentinel()) edges.push_back(e);
     }
   }

@@ -7,7 +7,10 @@
 // resources instead of the whole table; concatenating the cached
 // per-resource vectors in ascending rid order reproduces BuildEcrEdges
 // byte-for-byte (the differential test in tests/incremental_build_test.cc
-// proves it).  See docs/PERFORMANCE.md for the invalidation contract.
+// proves it).  Only resources with at least one edge keep a vector, in an
+// rid-ordered index of their own, so assembly visits those and skips the
+// (usually far more numerous) resources whose ECR output is empty.  See
+// docs/PERFORMANCE.md for the invalidation contract.
 //
 // Each observer (detector instance) owns its own GraphBuilder; the lock
 // table's journal is a shared read-only log, so any number of builders can
@@ -22,6 +25,7 @@
 #include <map>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "core/tst.h"
 #include "core/twbg.h"
 #include "lock/lock_table.h"
@@ -50,16 +54,6 @@ struct GraphCacheStats {
 /// per-shard caches serially (core::ShardedTstBuilder).
 class GraphBuilder {
  public:
-  /// Cached ECR output for one resource.
-  struct ResourceCache {
-    /// lock::ResourceState::version() the entry was computed at.
-    uint64_t version = 0;
-    /// ECR 1-3 output for this resource, sentinels included.
-    std::vector<TwbgEdge> edges;
-    /// Transactions appearing on the resource (holders, then queue).
-    std::vector<lock::TransactionId> txns;
-  };
-
   /// Refreshes the cache against `table` and reassembles the persistent
   /// TST (W edges with sentinels + H edges, walk state reset).  The
   /// returned reference stays valid until the next Refresh/Build call and
@@ -70,45 +64,64 @@ class GraphBuilder {
   /// edges) — identical to HwTwbg::Build(table).
   HwTwbg BuildGraph(const lock::LockTable& table);
 
-  /// Brings the cache and vertex set up to date with `table` WITHOUT
-  /// assembling a TST — the per-shard half of the sharded Step 1, whose
-  /// assembly is a k-way merge across shards (core::ShardedTstBuilder).
+  /// Brings the cache, edge lists and vertex set up to date with `table`
+  /// (journal fast path or full version-compare sweep) WITHOUT assembling
+  /// a TST — the per-shard half of the sharded Step 1, whose assembly is a
+  /// k-way merge across shards (core::ShardedTstBuilder).
   void Refresh(const lock::LockTable& table);
 
-  /// Per-resource cache in ascending rid order, valid after Refresh.
-  const std::map<lock::ResourceId, ResourceCache>& cached_resources() const {
-    return cache_;
+  /// ECR 1-3 output (sentinels included) of every cached resource that
+  /// has at least one edge, in ascending rid order, valid after Refresh.
+  /// Concatenated in order it is the table's whole edge list.
+  const std::map<lock::ResourceId, std::vector<TwbgEdge>>& edge_lists()
+      const {
+    return edge_lists_;
   }
 
-  /// Vertex set (ascending) of the cached resources, valid after Refresh.
+  /// Vertex set (ascending, duplicate-free) of the cached resources, valid
+  /// after Refresh.
   const std::vector<lock::TransactionId>& txns() const { return txns_; }
 
   /// Statistics of the most recent refresh.
   const GraphCacheStats& stats() const { return stats_; }
 
  private:
-  // Brings cache_ up to date with `table` (journal fast path or full
-  // version-compare sweep) and resets stats_.
-  void Sync(const lock::LockTable& table);
+  // Cached state of one resource.
+  struct ResourceCache {
+    // lock::ResourceState::version() the entry was computed at.
+    uint64_t version = 0;
+    // Transactions appearing on the resource (holders, then queue).
+    std::vector<lock::TransactionId> txns;
+  };
+
   void Rebuild(const lock::ResourceState& state, ResourceCache& entry);
-  void Drop(ResourceCache& entry);
-  // Refcount maintenance for the vertex set.
+  void Drop(lock::ResourceId rid, ResourceCache& entry);
+  // Removes `rid`'s edge list, if any, from edge_lists_.
+  void DropEdges(lock::ResourceId rid);
+  // Refcount maintenance for the vertex set; keeps txns_ current.
   void RetainTxns(const std::vector<lock::TransactionId>& txns);
   void ReleaseTxns(const std::vector<lock::TransactionId>& txns);
-  // Rebuilds txns_ from txn_refs_ when membership changed.
-  void RefreshTxns();
 
-  std::map<lock::ResourceId, ResourceCache> cache_;
+  // Unordered: only edge_lists_ needs rid order.
+  common::FlatMap<lock::ResourceId, ResourceCache> cache_;
+  // The edge-bearing subset of cache_'s resources and their edges, in
+  // ascending rid order.  Held by value, so copies and moves of the
+  // builder carry a valid index.
+  std::map<lock::ResourceId, std::vector<TwbgEdge>> edge_lists_;
   uint64_t table_uid_ = 0;
   uint64_t synced_seq_ = 0;
   size_t total_edges_ = 0;
   // tid -> number of cached resources it appears on.  The key set is the
-  // graph's vertex set; txns_ mirrors it sorted, rebuilt only when
-  // membership actually changes.
-  std::map<lock::TransactionId, uint32_t> txn_refs_;
-  bool membership_changed_ = true;
+  // graph's vertex set; txns_ mirrors it sorted, updated by insertion and
+  // erasure only when a tid joins or leaves it.
+  common::FlatMap<lock::TransactionId, uint32_t> txn_refs_;
   std::vector<lock::TransactionId> txns_;
+  // The participants a Rebuild is about to cache (swapped into the entry).
+  std::vector<lock::TransactionId> txn_scratch_;
   std::vector<TwbgEdge> edge_scratch_;
+  // One resource's fresh ECR output; swapped into edge_lists_, so it
+  // keeps the replaced list's capacity for the next rebuild.
+  std::vector<TwbgEdge> rebuild_scratch_;
   std::vector<lock::ResourceId> dirty_scratch_;
   Tst tst_;
   GraphCacheStats stats_;

@@ -3,8 +3,10 @@
 #include "core/parallel_detector.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
+#include "common/macros.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
 
@@ -68,17 +70,27 @@ Tst& ShardedTstBuilder::RefreshTst(
     stats_.full_sweep = stats_.full_sweep || s.full_sweep;
   }
 
-  // K-way merge of the per-shard caches by ascending rid (shards hold
+  // Vertex set: the union of the shards' ascending vertex sets.
+  txn_scratch_.clear();
+  for (const GraphBuilder& builder : builders_) {
+    merge_scratch_.clear();
+    std::set_union(txn_scratch_.begin(), txn_scratch_.end(),
+                   builder.txns().begin(), builder.txns().end(),
+                   std::back_inserter(merge_scratch_));
+    txn_scratch_.swap(merge_scratch_);
+  }
+
+  // K-way merge of the per-shard edge lists by ascending rid (shards hold
   // disjoint rid sets, so this is the global rid order — the same
   // concatenation order a single-table build would use).
   edge_scratch_.clear();
-  using CacheIter =
-      std::map<lock::ResourceId, GraphBuilder::ResourceCache>::const_iterator;
-  std::vector<std::pair<CacheIter, CacheIter>> fronts;
+  using ListIter =
+      std::map<lock::ResourceId, std::vector<TwbgEdge>>::const_iterator;
+  std::vector<std::pair<ListIter, ListIter>> fronts;
   fronts.reserve(builders_.size());
   for (const GraphBuilder& builder : builders_) {
-    fronts.emplace_back(builder.cached_resources().begin(),
-                        builder.cached_resources().end());
+    fronts.emplace_back(builder.edge_lists().begin(),
+                        builder.edge_lists().end());
   }
   for (;;) {
     size_t best = fronts.size();
@@ -90,9 +102,8 @@ Tst& ShardedTstBuilder::RefreshTst(
       }
     }
     if (best == fronts.size()) break;
-    const GraphBuilder::ResourceCache& entry = fronts[best].first->second;
-    edge_scratch_.insert(edge_scratch_.end(), entry.edges.begin(),
-                         entry.edges.end());
+    const std::vector<TwbgEdge>& edges = fronts[best].first->second;
+    edge_scratch_.insert(edge_scratch_.end(), edges.begin(), edges.end());
     ++fronts[best].first;
   }
 
@@ -105,25 +116,23 @@ Tst& ShardedTstBuilder::RefreshTst(
   // TST, and any resolution decided on the stale wait is rejected by the
   // version-validated apply and retried next pass.
   if (builders_.size() > 1) {
-    w_seen_.clear();
+    w_seen_.assign(txn_scratch_.size(), 0);
     size_t kept = 0;
     for (size_t j = 0; j < edge_scratch_.size(); ++j) {
       const TwbgEdge& e = edge_scratch_[j];
-      if (e.IsW() && !w_seen_.insert(e.from).second) continue;
+      if (e.IsW()) {
+        const size_t v = SortedIndexOf(txn_scratch_, e.from);
+        TWBG_DCHECK(v < w_seen_.size());  // a queue member is a vertex
+        if (w_seen_[v] != 0) continue;
+        w_seen_[v] = 1;
+      }
       edge_scratch_[kept++] = e;
     }
     edge_scratch_.resize(kept);
   }
 
-  txn_scratch_.clear();
-  for (const GraphBuilder& builder : builders_) {
-    txn_scratch_.insert(txn_scratch_.end(), builder.txns().begin(),
-                        builder.txns().end());
-  }
-  std::sort(txn_scratch_.begin(), txn_scratch_.end());
-  txn_scratch_.erase(std::unique(txn_scratch_.begin(), txn_scratch_.end()),
-                     txn_scratch_.end());
-
+  // The union is sorted, duplicate-free and holds every edge source (a
+  // source sits on a resource of its shard): the presorted assembly path.
   tst_.Assemble(edge_scratch_, txn_scratch_);
   return tst_;
 }

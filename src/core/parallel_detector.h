@@ -5,9 +5,9 @@
 //
 //   Step 1  every shard's incremental GraphBuilder refreshes its own ECR
 //           edge cache concurrently (shards own disjoint resources), then
-//           the per-shard caches are k-way merged by ascending rid into
-//           one flat TST — byte-identical to a single-table build of the
-//           union state, since cache concatenation order is rid order.
+//           the per-shard edge lists are k-way merged by ascending rid
+//           into one flat TST — byte-identical to a single-table build of
+//           the union state, since cache concatenation order is rid order.
 //   Step 2  the component-parallel walk of core/parallel_engine.h.
 //   Step 3  the standard abortion-list / change-list reconciliation,
 //           routed through a ResolutionHost.
@@ -23,7 +23,7 @@
 #ifndef TWBG_CORE_PARALLEL_DETECTOR_H_
 #define TWBG_CORE_PARALLEL_DETECTOR_H_
 
-#include <set>
+#include <cstdint>
 #include <vector>
 
 #include "common/stopwatch.h"
@@ -51,8 +51,10 @@ class ShardedTstBuilder {
   std::vector<GraphBuilder> builders_;  // one per shard, index-stable
   std::vector<TwbgEdge> edge_scratch_;
   std::vector<lock::TransactionId> txn_scratch_;
-  // Scratch for the cross-shard capture-skew W-edge dedup (see RefreshTst).
-  std::set<lock::TransactionId> w_seen_;
+  std::vector<lock::TransactionId> merge_scratch_;
+  // Scratch for the cross-shard capture-skew W-edge dedup (see
+  // RefreshTst): one "W edge kept" flag per vertex of txn_scratch_.
+  std::vector<uint8_t> w_seen_;
   Tst tst_;
   GraphCacheStats stats_;
 };

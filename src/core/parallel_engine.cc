@@ -207,10 +207,10 @@ WalkOutcome RunWalkComponentParallel(Tst& tst, ParallelWalkHost& host,
   // (see header), so copying the members' entries back is exact.
   for (size_t c = 0; c < n_comp; ++c) {
     merged.steps += runs[c].outcome.steps;
-    const auto& entries = runs[c].costs.entries();
     for (size_t index : partition.components[c]) {
-      auto it = entries.find(tst.TidAt(index));
-      if (it != entries.end()) costs.Set(it->first, it->second);
+      const lock::TransactionId tid = tst.TidAt(index);
+      const double* cost = runs[c].costs.Find(tid);
+      if (cost != nullptr) costs.Set(tid, *cost);
     }
   }
   return merged;

@@ -3,6 +3,7 @@
 #include "core/tst.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "common/string_util.h"
 
@@ -14,7 +15,8 @@ Tst::Tst(const Tst& other)
       edges_(other.edges_),
       edge_targets_(other.edge_targets_),
       offsets_(other.offsets_),
-      fill_(other.fill_) {
+      fill_(other.fill_),
+      edge_sources_(other.edge_sources_) {
   RepointSpans();
 }
 
@@ -26,6 +28,7 @@ Tst& Tst::operator=(const Tst& other) {
   edge_targets_ = other.edge_targets_;
   offsets_ = other.offsets_;
   fill_ = other.fill_;
+  edge_sources_ = other.edge_sources_;
   RepointSpans();
   return *this;
 }
@@ -59,34 +62,49 @@ Tst Tst::FromEdges(const std::vector<TwbgEdge>& edges,
 
 void Tst::Assemble(const std::vector<TwbgEdge>& edges,
                    const std::vector<lock::TransactionId>& txns) {
-  tids_.clear();
-  tids_.reserve(txns.size());
-  tids_.insert(tids_.end(), txns.begin(), txns.end());
-  for (const TwbgEdge& e : edges) tids_.push_back(e.from);
-  std::sort(tids_.begin(), tids_.end());
-  tids_.erase(std::unique(tids_.begin(), tids_.end()), tids_.end());
+  // Presorted path: a strictly ascending vertex set is the id column as
+  // is, and locating every edge's source once both proves it covers the
+  // sources and gives the grouping below its indices.
+  tids_.assign(txns.begin(), txns.end());
+  edge_sources_.resize(edges.size());
+  bool presorted = std::adjacent_find(tids_.begin(), tids_.end(),
+                                      std::greater_equal<>()) == tids_.end();
+  for (size_t j = 0; presorted && j < edges.size(); ++j) {
+    edge_sources_[j] = IndexOf(edges[j].from);
+    presorted = edge_sources_[j] < tids_.size();
+  }
+  if (!presorted) {
+    // Any other input: add the sources, sort, dedupe, locate again.
+    for (const TwbgEdge& e : edges) tids_.push_back(e.from);
+    std::sort(tids_.begin(), tids_.end());
+    tids_.erase(std::unique(tids_.begin(), tids_.end()), tids_.end());
+    for (size_t j = 0; j < edges.size(); ++j) {
+      edge_sources_[j] = IndexOf(edges[j].from);
+    }
+  }
 
   const size_t n = tids_.size();
   entries_.assign(n, TstEntry{});
 
   // Counting sort of the edges into per-vertex groups.
   offsets_.assign(n + 1, 0);
-  for (const TwbgEdge& e : edges) ++offsets_[IndexOf(e.from) + 1];
+  for (size_t i : edge_sources_) ++offsets_[i + 1];
   for (size_t i = 0; i < n; ++i) offsets_[i + 1] += offsets_[i];
   edges_.resize(edges.size());
   fill_.assign(offsets_.begin(), offsets_.end() - 1);
 
   // W edges first (each queue member has exactly one, so "first" is
   // well-defined), then H edges in construction order.
-  for (const TwbgEdge& e : edges) {
+  for (size_t j = 0; j < edges.size(); ++j) {
+    const TwbgEdge& e = edges[j];
     if (!e.IsW()) continue;
-    const size_t i = IndexOf(e.from);
+    const size_t i = edge_sources_[j];
     TWBG_CHECK(fill_[i] == offsets_[i]);  // at most one W edge per vertex
     edges_[fill_[i]++] = e;
     entries_[i].pr = e.rid;
   }
-  for (const TwbgEdge& e : edges) {
-    if (e.IsH()) edges_[fill_[IndexOf(e.from)]++] = e;
+  for (size_t j = 0; j < edges.size(); ++j) {
+    if (edges[j].IsH()) edges_[fill_[edge_sources_[j]]++] = edges[j];
   }
 
   for (size_t i = 0; i < n; ++i) {
@@ -101,10 +119,25 @@ void Tst::Assemble(const std::vector<TwbgEdge>& edges,
   }
 }
 
+size_t SortedIndexOf(const std::vector<lock::TransactionId>& sorted,
+                     lock::TransactionId tid) {
+  if (sorted.empty()) return 0;
+  // Lower bound by halving: `base` advances by `half` exactly when the
+  // probe is below `tid`, computed arithmetically instead of branched on.
+  const lock::TransactionId* base = sorted.data();
+  size_t len = sorted.size();
+  while (len > 1) {
+    const size_t half = len / 2;
+    base += static_cast<size_t>(base[half] < tid) * half;
+    len -= half;
+  }
+  const size_t i = static_cast<size_t>(base - sorted.data()) +
+                   static_cast<size_t>(*base < tid);
+  return i < sorted.size() && sorted[i] == tid ? i : sorted.size();
+}
+
 size_t Tst::IndexOf(lock::TransactionId tid) const {
-  auto it = std::lower_bound(tids_.begin(), tids_.end(), tid);
-  if (it == tids_.end() || *it != tid) return tids_.size();
-  return static_cast<size_t>(it - tids_.begin());
+  return SortedIndexOf(tids_, tid);
 }
 
 TstEntry& Tst::At(lock::TransactionId tid) {

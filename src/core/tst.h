@@ -59,6 +59,13 @@ struct TstEntry {
   const TwbgEdge& CurrentEdge() const { return waited[current]; }
 };
 
+/// Position of `tid` in the ascending, duplicate-free `sorted`, or
+/// sorted.size() when absent.  Branch-free: Step 1 runs one search per edge
+/// source and target, and a mispredicted branch per halving step would
+/// cost more than the comparisons.
+size_t SortedIndexOf(const std::vector<lock::TransactionId>& sorted,
+                     lock::TransactionId tid);
+
 /// The TST.  Built fresh by Build() (scratch Step 1) or refreshed in place
 /// by core::GraphBuilder (incremental Step 1); the paper materializes only
 /// the H edges then (W edges live in its lock table), which is
@@ -88,7 +95,10 @@ class Tst {
   /// construction order) and the vertex set `txns` (duplicates and any
   /// order allowed; edge sources are added implicitly).  Resets all walk
   /// state.  Reuses existing storage, so a long-lived Tst refreshed every
-  /// pass stops allocating once warm.
+  /// pass stops allocating once warm.  When `txns` is strictly ascending
+  /// and holds every edge source — what the incremental builders pass —
+  /// it is used as is: no sort, one lookup per edge source.  Any other
+  /// input takes the sorting path; both give the same table.
   void Assemble(const std::vector<TwbgEdge>& edges,
                 const std::vector<lock::TransactionId>& txns);
 
@@ -140,9 +150,11 @@ class Tst {
   // Parallel to edges_: dense index of each edge's target (kNoVertex for
   // sentinels), so the walk never binary-searches.
   std::vector<size_t> edge_targets_;
-  // Assembly scratch (group offsets / fill cursors), kept warm.
+  // Assembly scratch (group offsets / fill cursors / each input edge's
+  // source index), kept warm.
   std::vector<size_t> offsets_;
   std::vector<size_t> fill_;
+  std::vector<size_t> edge_sources_;
 };
 
 }  // namespace twbg::core

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -197,6 +198,29 @@ TEST_P(IncrementalBuildTest, ContinuousDetectorParityOnRandomSchedules) {
                 Tst::Build(scr_lm.table()).ToString());
     }
   }
+}
+
+// The builder's caches, edge-list index included, are plain values: a
+// copy refreshes on the journal exactly like its source, and so does every
+// builder the vector's reallocations move.
+TEST(GraphBuilderTest, CopiesAndMovesKeepRefreshingOnTheJournal) {
+  common::Rng rng(99);
+  LockManager lm;
+  std::vector<GraphBuilder> builders(1);
+  const std::vector<Op> schedule = MakeSchedule(rng, 8, 6, 200);
+  for (size_t i = 0; i < schedule.size(); ++i) {
+    Apply(lm, schedule[i]);
+    if (i % 10 != 0) continue;
+    const std::string tst = Tst::Build(lm.table()).ToString();
+    const std::string graph = HwTwbg::Build(lm.table()).ToString();
+    for (GraphBuilder& builder : builders) {
+      ASSERT_EQ(builder.RefreshTst(lm.table()).ToString(), tst) << "op " << i;
+      ASSERT_EQ(builder.stats().full_sweep, i == 0);
+      ASSERT_EQ(builder.BuildGraph(lm.table()).ToString(), graph);
+    }
+    builders.push_back(builders.back());
+  }
+  EXPECT_EQ(builders.size(), 21u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalBuildTest,

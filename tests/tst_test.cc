@@ -7,6 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
+#include "core/detection_engine.h"
 #include "core/examples_catalog.h"
 #include "lock/lock_manager.h"
 
@@ -126,6 +133,93 @@ TEST(TstTest, ToStringShowsStructure) {
   EXPECT_NE(s.find("T2: pr=R1"), std::string::npos);
   EXPECT_NE(s.find("(X, T3)"), std::string::npos);
   EXPECT_NE(s.find("(NL, T1)"), std::string::npos);
+}
+
+// The Assemble input contract: `txns` may hold duplicates in any order and
+// may omit edge sources.  A sorted, duplicate-free vertex set takes the
+// presorted path; the same ids shuffled with duplicates, and a sorted set
+// missing some edge sources, take the sorting path.  All three must give
+// the same table and, walked over identical lock states, the same
+// resolution.
+std::vector<lock::TransactionId> Participants(const lock::LockTable& table) {
+  std::vector<lock::TransactionId> txns;
+  for (const auto& [rid, state] : table) {
+    for (const lock::HolderEntry& h : state.holders()) txns.push_back(h.tid);
+    for (const lock::QueueEntry& q : state.queue()) txns.push_back(q.tid);
+  }
+  std::sort(txns.begin(), txns.end());
+  txns.erase(std::unique(txns.begin(), txns.end()), txns.end());
+  return txns;
+}
+
+void ExpectAssembleInputsAgree(
+    const std::function<void(lock::LockManager&)>& build, common::Rng& rng,
+    const std::string& context) {
+  lock::LockManager probe;
+  build(probe);
+  const std::vector<TwbgEdge> edges =
+      BuildEcrEdges(probe.table(), /*include_sentinels=*/true);
+  std::vector<lock::TransactionId> sorted = Participants(probe.table());
+
+  std::vector<lock::TransactionId> shuffled = sorted;
+  for (size_t i = 0; i < sorted.size(); i += 2) shuffled.push_back(sorted[i]);
+  for (size_t i = shuffled.size(); i > 1; --i) {
+    std::swap(shuffled[i - 1], shuffled[rng.NextBelow(i)]);
+  }
+  // Every other edge source left out (sorting path adds them back).
+  std::vector<lock::TransactionId> missing = sorted;
+  for (size_t j = 0; j < edges.size(); j += 2) {
+    missing.erase(std::remove(missing.begin(), missing.end(), edges[j].from),
+                  missing.end());
+  }
+  ASSERT_TRUE(edges.empty() || missing.size() < sorted.size()) << context;
+
+  std::string expected_tst, expected_report;
+  for (const auto* txns : {&sorted, &shuffled, &missing}) {
+    lock::LockManager lm;
+    build(lm);
+    Tst tst = Tst::FromEdges(edges, *txns);
+    EXPECT_EQ(tst.Transactions(), sorted) << context;
+    CostTable costs;
+    const DetectorOptions options;
+    WalkOutcome walk = RunWalk(tst, tst.Transactions(), lm, costs, options);
+    const std::string report =
+        ApplyResolution(std::move(walk), lm, costs, options).ToString();
+    if (txns == &sorted) {
+      expected_tst = tst.ToString();
+      expected_report = report;
+      EXPECT_EQ(expected_tst, Tst::Build(probe.table()).ToString()) << context;
+      continue;
+    }
+    EXPECT_EQ(tst.ToString(), expected_tst) << context;
+    EXPECT_EQ(report, expected_report) << context;
+  }
+}
+
+TEST(TstTest, AssembleAcceptsAnyVertexSetOrderAndCover) {
+  common::Rng rng(515);
+  ExpectAssembleInputsAgree(BuildExample41, rng, "example 4.1");
+  ExpectAssembleInputsAgree(BuildExample51, rng, "example 5.1");
+  struct Request {
+    lock::TransactionId tid;
+    lock::ResourceId rid;
+    lock::LockMode mode;
+  };
+  for (int round = 0; round < 100; ++round) {
+    std::vector<Request> requests(40);
+    for (Request& r : requests) {
+      r.tid = static_cast<lock::TransactionId>(rng.NextInRange(1, 8));
+      r.rid = static_cast<lock::ResourceId>(rng.NextInRange(1, 6));
+      r.mode = lock::kRealModes[rng.NextBelow(5)];
+    }
+    ExpectAssembleInputsAgree(
+        [&](lock::LockManager& lm) {
+          for (const Request& r : requests) {
+            (void)lm.Acquire(r.tid, r.rid, r.mode);
+          }
+        },
+        rng, "round " + std::to_string(round));
+  }
 }
 
 }  // namespace

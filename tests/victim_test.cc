@@ -172,5 +172,73 @@ TEST(VictimTest, CandidateToString) {
             "reposition {T8} on R2 at junction T3 (cost 0.50)");
 }
 
+TEST(CostTableTest, UnsetTidReadsOne) {
+  CostTable costs;
+  EXPECT_EQ(costs.Get(7), 1.0);
+  EXPECT_EQ(costs.Find(7), nullptr);
+  EXPECT_EQ(costs.size(), 0u);
+}
+
+TEST(CostTableTest, BumpOnUnsetTidStartsFromOne) {
+  CostTable costs;
+  costs.Bump(3, 2.0, 0.5);
+  ASSERT_NE(costs.Find(3), nullptr);
+  EXPECT_EQ(costs.Get(3), 2.5);
+  costs.Bump(3, 2.0, 0.5);
+  EXPECT_EQ(costs.Get(3), 5.5);
+  EXPECT_EQ(costs.size(), 1u);
+}
+
+TEST(CostTableTest, EraseForgetsOnlyThatTid) {
+  CostTable costs;
+  costs.Set(1, 4.0);
+  costs.Set(2, 5.0);
+  costs.Set(3, 6.0);
+  costs.Erase(1);  // not the last inserted: the flat map moves T3's entry
+  EXPECT_EQ(costs.Find(1), nullptr);
+  EXPECT_EQ(costs.Get(1), 1.0);
+  EXPECT_EQ(costs.Get(2), 5.0);
+  EXPECT_EQ(costs.Get(3), 6.0);
+  EXPECT_EQ(costs.size(), 2u);
+  costs.Erase(1);  // absent: no effect
+  EXPECT_EQ(costs.size(), 2u);
+  costs.Erase(2);
+  costs.Erase(3);
+  EXPECT_EQ(costs.size(), 0u);
+  EXPECT_EQ(costs.Get(3), 1.0);
+}
+
+TEST(CostTableTest, CopyIsIndependentOfItsSource) {
+  CostTable source;
+  source.Set(1, 2.0);
+  source.Set(2, 3.0);
+  CostTable copy = source;
+  EXPECT_TRUE(copy == source);
+  copy.Set(1, 9.0);
+  copy.Bump(4, 2.0, 0.0);
+  source.Erase(2);
+  EXPECT_EQ(source.Get(1), 2.0);
+  EXPECT_EQ(source.Find(4), nullptr);
+  EXPECT_EQ(copy.Get(1), 9.0);
+  EXPECT_EQ(copy.Get(2), 3.0);
+  EXPECT_EQ(copy.Get(4), 2.0);
+  EXPECT_FALSE(copy == source);
+}
+
+TEST(CostTableTest, EqualityComparesTidsAndCostsInAnyOrder) {
+  CostTable a, b;
+  for (lock::TransactionId tid : {1u, 2u, 3u}) a.Set(tid, tid * 1.5);
+  for (lock::TransactionId tid : {3u, 2u, 1u}) b.Set(tid, tid * 1.5);
+  EXPECT_TRUE(a == b);
+  b.Set(2, 0.5);
+  EXPECT_FALSE(a == b);
+  b.Set(2, 3.0);
+  EXPECT_TRUE(a == b);
+  b.Erase(3);
+  EXPECT_FALSE(a == b);
+  b.Set(4, 4.5);  // same size, different tid
+  EXPECT_FALSE(a == b);
+}
+
 }  // namespace
 }  // namespace twbg::core
