@@ -34,6 +34,13 @@
 // perf-smoke job gates the uncontended sequential cell on ops/sec and
 // every steady-state cell on allocations/op (see .github/workflows).
 //
+// The uptime record asks whether a transaction costs more the longer the
+// service has run: one client thread runs Begin / AcquireAsync / State /
+// Commit for kUptimeTxns transactions against twbg-serverd's default
+// service (4 shards, kPeriodic, 2 ms detector thread), and the JSON keeps
+// the mean microseconds per transaction of every kUptimeInterval of them.
+// CI fails when the last interval costs more than 3x the first.
+//
 // Usage: bench_throughput [ops_per_cell] [out.json]
 
 #include <algorithm>
@@ -413,6 +420,45 @@ CellResult RunConcurrent(size_t txns, double theta, size_t resources,
   return cell;
 }
 
+// --------------------------------------------------------------------------
+// Uptime record: per-transaction cost against the number of transactions
+// the service has begun.
+// --------------------------------------------------------------------------
+
+constexpr size_t kUptimeTxns = 2'000'000;
+constexpr size_t kUptimeInterval = 250'000;
+constexpr size_t kUptimeShards = 4;
+constexpr std::chrono::microseconds kUptimePeriod{2000};
+constexpr size_t kUptimeResources = 1024;
+
+// Mean microseconds per transaction of each kUptimeInterval-transaction
+// interval, in order.
+std::vector<double> RunUptime() {
+  txn::ConcurrentServiceOptions options;
+  options.num_shards = kUptimeShards;
+  options.detection_mode = txn::DetectionMode::kPeriodic;
+  options.detection_period = kUptimePeriod;
+  auto service = txn::ConcurrentLockService::Create(options).value();
+  std::vector<double> us_per_txn;
+  uint64_t interval_start = NowNs();
+  for (size_t i = 1; i <= kUptimeTxns; ++i) {
+    const lock::TransactionId tid = *service->Begin();
+    const auto rid = static_cast<lock::ResourceId>(1 + i % kUptimeResources);
+    const Result<lock::RequestOutcome> outcome =
+        service->AcquireAsync(tid, rid, lock::LockMode::kX);
+    TWBG_CHECK(outcome.ok() && *outcome == lock::RequestOutcome::kGranted);
+    TWBG_CHECK(*service->State(tid) == txn::TxnState::kActive);
+    TWBG_CHECK(service->Commit(tid).ok());
+    if (i % kUptimeInterval == 0) {
+      const uint64_t now = NowNs();
+      us_per_txn.push_back(static_cast<double>(now - interval_start) / 1e3 /
+                           static_cast<double>(kUptimeInterval));
+      interval_start = now;
+    }
+  }
+  return us_per_txn;
+}
+
 void PrintCell(const CellResult& cell) {
   std::printf(
       "  %-10s txns=%-5zu theta=%-4s shards=%-2zu threads=%zu "
@@ -464,6 +510,14 @@ int main(int argc, char** argv) {
     }
   }
 
+  std::printf("uptime (%zu transactions, 1 client, %zu shards, %lld us "
+              "detector):\n  us/txn per %zu:",
+              kUptimeTxns, kUptimeShards,
+              static_cast<long long>(kUptimePeriod.count()), kUptimeInterval);
+  const std::vector<double> uptime = RunUptime();
+  for (double us : uptime) std::printf(" %.2f", us);
+  std::printf("\n");
+
   std::FILE* out = std::fopen(out_path, "w");
   if (out == nullptr) {
     std::fprintf(stderr, "cannot open %s\n", out_path);
@@ -491,7 +545,17 @@ int main(int argc, char** argv) {
         c.uncontended() ? "true" : "false",
         i + 1 < cells.size() ? "," : "");
   }
-  std::fprintf(out, "  ]\n}\n");
+  std::fprintf(out, "  ],\n");
+  std::fprintf(out,
+               "  \"uptime\": {\"transactions\": %zu, \"interval\": %zu, "
+               "\"shards\": %zu, \"detection_period_us\": %lld, "
+               "\"us_per_txn\": [",
+               kUptimeTxns, kUptimeInterval, kUptimeShards,
+               static_cast<long long>(kUptimePeriod.count()));
+  for (size_t i = 0; i < uptime.size(); ++i) {
+    std::fprintf(out, "%s%.3f", i == 0 ? "" : ", ", uptime[i]);
+  }
+  std::fprintf(out, "]}\n}\n");
   std::fclose(out);
   std::printf("wrote %s\n", out_path);
   return 0;

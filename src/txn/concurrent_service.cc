@@ -3,6 +3,7 @@
 #include "txn/concurrent_service.h"
 
 #include <algorithm>
+#include <map>
 
 #include "common/string_util.h"
 #include "core/detection_engine.h"
@@ -155,9 +156,8 @@ class ConcurrentLockService::PassHost final
 
   std::vector<lock::TransactionId> ReleaseAll(
       lock::TransactionId tid) override {
-    auto it = service_.txns_.find(tid);
-    const uint64_t mask =
-        it == service_.txns_.end() ? ~uint64_t{0} : it->second.shard_mask;
+    const TxnRecord* rec = service_.FindTxnLocked(tid);
+    const uint64_t mask = rec == nullptr ? ~uint64_t{0} : rec->shard_mask;
     return service_.ReleaseAllShardsLocked(tid, mask);
   }
   std::vector<lock::TransactionId> Reschedule(lock::ResourceId rid) override {
@@ -326,8 +326,8 @@ Result<lock::TransactionId> ConcurrentLockService::Begin() {
       return admitted;
     }
   }
-  const lock::TransactionId tid = next_tid_++;
-  TxnRecord& rec = txns_[tid];
+  TxnRecord& rec = txns_.emplace_back();
+  const auto tid = static_cast<lock::TransactionId>(txns_.size());
   rec.begin_ts = next_ts_++;
   ++live_txns_;
   RefreshCostLocked(tid, rec);
@@ -358,11 +358,10 @@ Status ConcurrentLockService::AcquireBlocking(lock::TransactionId tid,
     std::optional<robustness::Fault> fault;
     {
       std::scoped_lock tl(txn_mu_);
-      auto it = txns_.find(tid);
-      if (it != txns_.end() &&
-          it->second.state.load(std::memory_order_relaxed) ==
-              TxnState::kActive) {
-        fault = injector_->TakeAcquireFault(tid, it->second.ops_executed);
+      const TxnRecord* rec = FindTxnLocked(tid);
+      if (rec != nullptr &&
+          rec->state.load(std::memory_order_relaxed) == TxnState::kActive) {
+        fault = injector_->TakeAcquireFault(tid, rec->ops_executed);
       }
     }
     if (fault.has_value()) {
@@ -447,15 +446,15 @@ Result<lock::RequestOutcome> ConcurrentLockService::AcquireAsync(
 void ConcurrentLockService::OnWaitEnd(lock::TransactionId tid,
                                       WaitCompletion done) {
   std::unique_lock<std::mutex> tl(txn_mu_);
-  auto it = txns_.find(tid);
-  if (it == txns_.end()) {
+  const TxnRecord* rec = FindTxnLocked(tid);
+  if (rec == nullptr) {
     tl.unlock();
     done(Status::NotFound(common::Format("unknown transaction T%u", tid)));
     return;
   }
   // Every way out of kBlocked holds txn_mu_ (TransitionLocked), so the
   // wait cannot end between this check and the registration.
-  const TxnState state = it->second.state.load(std::memory_order_relaxed);
+  const TxnState state = rec->state.load(std::memory_order_relaxed);
   if (state == TxnState::kBlocked) {
     wait_ends_[tid].push_back(std::move(done));
     return;
@@ -483,11 +482,10 @@ Result<lock::RequestOutcome> ConcurrentLockService::RegisterLocked(
     size_t shard_index, TxnRecord** rec_out) {
   Shard& shard = *shards_[shard_index];
   std::scoped_lock tl(txn_mu_);
-  auto it = txns_.find(tid);
-  if (it == txns_.end()) {
+  TxnRecord* rec = FindTxnLocked(tid);
+  if (rec == nullptr) {
     return Status::NotFound(common::Format("unknown transaction T%u", tid));
   }
-  TxnRecord* rec = &it->second;
   *rec_out = rec;
   const TxnState state = rec->state.load(std::memory_order_relaxed);
   if (state != TxnState::kActive) {
@@ -547,6 +545,7 @@ Result<lock::RequestOutcome> ConcurrentLockService::RegisterLocked(
       break;
   }
   rec->state.store(TxnState::kBlocked, std::memory_order_relaxed);
+  ++blocked_txns_;
   if (continuous_ == nullptr) return result;
   // Continuous detection: every edge this block created leaves `tid`, so
   // any cycle it closed passes through it and a walk rooted there finds
@@ -570,18 +569,17 @@ Result<lock::RequestOutcome> ConcurrentLockService::RegisterLocked(
 
 Status ConcurrentLockService::SetCost(lock::TransactionId tid, double cost) {
   std::scoped_lock tl(txn_mu_);
-  auto it = txns_.find(tid);
-  if (it == txns_.end()) {
+  TxnRecord* rec = FindTxnLocked(tid);
+  if (rec == nullptr) {
     return Status::NotFound(common::Format("unknown transaction T%u", tid));
   }
-  TxnRecord& rec = it->second;
-  const TxnState state = rec.state.load(std::memory_order_relaxed);
+  const TxnState state = rec->state.load(std::memory_order_relaxed);
   if (state == TxnState::kCommitted || state == TxnState::kAborted) {
     return Status::FailedPrecondition(common::Format(
         "T%u is %s; cannot set the cost of a terminated transaction", tid,
         std::string(ToString(state)).c_str()));
   }
-  rec.cost_pinned = true;
+  rec->cost_pinned = true;
   costs_.Set(tid, cost);
   return Status::OK();
 }
@@ -590,9 +588,9 @@ Status ConcurrentLockService::CancelWait(lock::TransactionId tid,
                                          Shard& shard, bool* escalate) {
   *escalate = false;
   std::scoped_lock tl(txn_mu_);
-  auto it = txns_.find(tid);
-  TWBG_CHECK(it != txns_.end());
-  TxnRecord& rec = it->second;
+  TxnRecord* found = FindTxnLocked(tid);
+  TWBG_CHECK(found != nullptr);
+  TxnRecord& rec = *found;
   const TxnState state = rec.state.load(std::memory_order_relaxed);
   // The shard mutex has been held since the deadline check, and every
   // resolver (terminating releasers, passes, continuous resolutions)
@@ -655,11 +653,11 @@ Status ConcurrentLockService::Terminate(lock::TransactionId tid, bool commit) {
   uint64_t mask = 0;
   {
     std::scoped_lock tl(txn_mu_);
-    auto it = txns_.find(tid);
-    if (it == txns_.end()) {
+    const TxnRecord* rec = FindTxnLocked(tid);
+    if (rec == nullptr) {
       return Status::NotFound(common::Format("unknown transaction T%u", tid));
     }
-    mask = it->second.shard_mask;
+    mask = rec->shard_mask;
   }
 
   common::Stopwatch hold;
@@ -667,11 +665,8 @@ Status ConcurrentLockService::Terminate(lock::TransactionId tid, bool commit) {
       LockShards(mask, hold);
   {
     std::scoped_lock tl(txn_mu_);
-    auto it = txns_.find(tid);
-    if (it == txns_.end()) {
-      return Status::NotFound(common::Format("unknown transaction T%u", tid));
-    }
-    TxnRecord& rec = it->second;
+    // Records are never removed: the peek above found this one.
+    TxnRecord& rec = *FindTxnLocked(tid);
     const TxnState state = rec.state.load(std::memory_order_relaxed);
     if (commit && state != TxnState::kActive) {
       return Status::FailedPrecondition(
@@ -1131,19 +1126,29 @@ core::ResolutionReport ConcurrentLockService::RunTimeoutSweep() {
     // Timeout resolution (the fallback the paper's algorithm replaces):
     // abort whoever has been observed blocked for `sweep_patience`
     // consecutive sweeps.  Crude — it may abort transactions that are
-    // merely waiting, not deadlocked — but O(transactions) cheap, which
-    // is the point while degraded.
+    // merely waiting, not deadlocked — but O(blocked transactions) cheap,
+    // which is the point while degraded.  Only the blocked are visited:
+    // every way out of kBlocked either ends the transaction or zeroes its
+    // count (ReactivateLocked, CancelWait), so a count is never stale.
+    // A kBlocked record waits in exactly one shard (CheckInvariants), and
+    // the merged shard lists in ascending tid pick the victims in the
+    // order a walk over the whole table would.
     const uint32_t patience = options_.robustness.degradation.sweep_patience;
+    std::vector<lock::TransactionId> blocked;
+    for (const auto& shard : shards_) {
+      const std::vector<lock::TransactionId> in_shard =
+          shard->lm.BlockedTransactions();
+      blocked.insert(blocked.end(), in_shard.begin(), in_shard.end());
+    }
+    std::sort(blocked.begin(), blocked.end());
     std::vector<lock::TransactionId> victims;
-    for (auto& [tid, rec] : txns_) {
-      if (rec.state.load(std::memory_order_relaxed) != TxnState::kBlocked) {
-        rec.blocked_sweeps = 0;
-        continue;
+    for (lock::TransactionId tid : blocked) {
+      if (++FindTxnLocked(tid)->blocked_sweeps >= patience) {
+        victims.push_back(tid);
       }
-      if (++rec.blocked_sweeps >= patience) victims.push_back(tid);
     }
     for (lock::TransactionId victim : victims) {
-      TxnRecord& rec = txns_.at(victim);
+      TxnRecord& rec = *FindTxnLocked(victim);
       TransitionLocked(victim, rec, TxnState::kAborted);
       // Deliberately NOT flagged deadlock_victim: a timeout abort is a
       // guess, not a detected cycle; it lands in sweep_aborts() instead.
@@ -1221,10 +1226,10 @@ void ConcurrentLockService::RecordFullPassPause(uint64_t pause_ns) {
 void ConcurrentLockService::ApplyReportLocked(
     const core::ResolutionReport& report) {
   for (lock::TransactionId victim : report.aborted) {
-    auto it = txns_.find(victim);
-    if (it == txns_.end()) continue;
-    TransitionLocked(victim, it->second, TxnState::kAborted);
-    it->second.deadlock_victim = true;
+    TxnRecord* rec = FindTxnLocked(victim);
+    if (rec == nullptr) continue;
+    TransitionLocked(victim, *rec, TxnState::kAborted);
+    rec->deadlock_victim = true;
     --live_txns_;
     ++deadlock_victims_;
     costs_.Erase(victim);
@@ -1243,21 +1248,23 @@ void ConcurrentLockService::ApplyReportLocked(
 void ConcurrentLockService::ReactivateLocked(
     const std::vector<lock::TransactionId>& granted) {
   for (lock::TransactionId g : granted) {
-    auto it = txns_.find(g);
-    if (it == txns_.end()) continue;
-    TxnRecord& rec = it->second;
-    if (rec.state.load(std::memory_order_relaxed) != TxnState::kBlocked) {
+    TxnRecord* rec = FindTxnLocked(g);
+    if (rec == nullptr ||
+        rec->state.load(std::memory_order_relaxed) != TxnState::kBlocked) {
       continue;
     }
-    TransitionLocked(g, rec, TxnState::kActive);
-    rec.locks_granted++;
-    rec.blocked_sweeps = 0;
-    RefreshCostLocked(g, rec);
+    TransitionLocked(g, *rec, TxnState::kActive);
+    rec->locks_granted++;
+    rec->blocked_sweeps = 0;
+    RefreshCostLocked(g, *rec);
   }
 }
 
 void ConcurrentLockService::TransitionLocked(lock::TransactionId tid,
                                              TxnRecord& rec, TxnState to) {
+  if (rec.state.load(std::memory_order_relaxed) == TxnState::kBlocked) {
+    --blocked_txns_;
+  }
   rec.state.store(to, std::memory_order_relaxed);
   if (wait_ends_.empty()) return;
   auto waiters = wait_ends_.extract(tid);
@@ -1336,17 +1343,13 @@ uint64_t ConcurrentLockService::EffectivePauseBudgetNs() const {
 void ConcurrentLockService::UpdateSchedulerAfterPass(
     uint64_t pass_ns, const core::ResolutionReport& report) {
   if (controller_ == nullptr) return;
-  // Snapshot the blocked population under txn_mu_ alone before touching
-  // any scheduling state (sched_mu_ is a leaf lock: nothing else is ever
+  // Read the blocked population under txn_mu_ alone before touching any
+  // scheduling state (sched_mu_ is a leaf lock: nothing else is ever
   // taken under it).
   uint64_t blocked = 0;
   {
     std::scoped_lock tl(txn_mu_);
-    for (const auto& [tid, rec] : txns_) {
-      if (rec.state.load(std::memory_order_relaxed) == TxnState::kBlocked) {
-        ++blocked;
-      }
-    }
+    blocked = blocked_txns_;
   }
   // Drain the estimator window (if any) before sched_mu_ — like the
   // blocked snapshot above, so sched_mu_ stays a leaf lock.
@@ -1409,11 +1412,11 @@ void ConcurrentLockService::UpdateSchedulerAfterPass(
 
 Result<TxnState> ConcurrentLockService::State(lock::TransactionId tid) const {
   std::scoped_lock tl(txn_mu_);
-  auto it = txns_.find(tid);
-  if (it == txns_.end()) {
+  const TxnRecord* rec = FindTxnLocked(tid);
+  if (rec == nullptr) {
     return Status::NotFound(common::Format("unknown transaction T%u", tid));
   }
-  return it->second.state.load(std::memory_order_relaxed);
+  return rec->state.load(std::memory_order_relaxed);
 }
 
 size_t ConcurrentLockService::live_transactions() const {
@@ -1554,8 +1557,17 @@ Status ConcurrentLockService::CheckInvariants(bool deep) {
           "shard %zu: %s", s, std::string(status.message()).c_str()));
     }
   }
-  for (const auto& [tid, rec] : txns_) {
+  size_t blocked_records = 0;
+  for (size_t index = 0; index < txns_.size(); ++index) {
+    const auto tid = static_cast<lock::TransactionId>(index + 1);
+    const TxnRecord& rec = txns_[index];
     const TxnState state = rec.state.load(std::memory_order_relaxed);
+    if (state == TxnState::kBlocked) ++blocked_records;
+    if (state == TxnState::kActive && rec.blocked_sweeps != 0) {
+      return Status::Internal(common::Format(
+          "T%u is kActive but carries %u blocked sweeps", tid,
+          rec.blocked_sweeps));
+    }
     size_t blocked_in = 0;
     for (size_t s = 0; s < shards_.size(); ++s) {
       const lock::TxnLockInfo* info = shards_[s]->lm.Info(tid);
@@ -1577,14 +1589,18 @@ Status ConcurrentLockService::CheckInvariants(bool deep) {
           "T%u is not kBlocked but waits in %zu shards", tid, blocked_in));
     }
   }
+  if (blocked_records != blocked_txns_) {
+    return Status::Internal(common::Format(
+        "%zu records are kBlocked but the blocked count is %zu",
+        blocked_records, blocked_txns_));
+  }
   // No leaked waiters: every blocked lock-table entry must belong to a
   // live transaction the service also believes is blocked.
   for (size_t s = 0; s < shards_.size(); ++s) {
     for (lock::TransactionId tid : shards_[s]->lm.BlockedTransactions()) {
-      auto it = txns_.find(tid);
-      if (it == txns_.end() ||
-          it->second.state.load(std::memory_order_relaxed) !=
-              TxnState::kBlocked) {
+      const TxnRecord* rec = FindTxnLocked(tid);
+      if (rec == nullptr ||
+          rec->state.load(std::memory_order_relaxed) != TxnState::kBlocked) {
         return Status::Internal(common::Format(
             "shard %zu holds a blocked entry for T%u, which the service "
             "does not consider blocked (leaked waiter)",
@@ -1610,9 +1626,10 @@ std::string ConcurrentLockService::DebugDump() {
       out += common::Format("  T%u waits on R%u\n", tid, *info->blocked_on);
     }
   }
-  for (const auto& [tid, rec] : txns_) {
+  for (size_t index = 0; index < txns_.size(); ++index) {
+    const TxnRecord& rec = txns_[index];
     out += common::Format(
-        "T%u state=%d victim=%d granted=%llu\n", tid,
+        "T%zu state=%d victim=%d granted=%llu\n", index + 1,
         static_cast<int>(rec.state.load(std::memory_order_relaxed)),
         rec.deadlock_victim ? 1 : 0,
         static_cast<unsigned long long>(rec.locks_granted));

@@ -97,8 +97,8 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -472,7 +472,8 @@ class ConcurrentLockService {
     bool cost_pinned = false;
     // Robustness bookkeeping: waits of this transaction cancelled by
     // deadline (abort-after-N policy), and consecutive degraded sweeps
-    // that observed it blocked (timeout resolution).
+    // that observed it blocked (timeout resolution; zero while it is
+    // kActive).
     uint32_t deadline_expiries = 0;
     uint32_t blocked_sweeps = 0;
     // Bit s set => an operation of this transaction was routed to shard
@@ -486,6 +487,17 @@ class ConcurrentLockService {
   explicit ConcurrentLockService(ConcurrentServiceOptions options);
 
   size_t ShardIndex(lock::ResourceId rid) const;
+
+  // `tid`'s record, or null for kInvalidTransaction and any tid Begin has
+  // not issued yet.  txn_mu_ held.
+  TxnRecord* FindTxnLocked(lock::TransactionId tid) {
+    return tid == lock::kInvalidTransaction || tid > txns_.size()
+               ? nullptr
+               : &txns_[tid - 1];
+  }
+  const TxnRecord* FindTxnLocked(lock::TransactionId tid) const {
+    return const_cast<ConcurrentLockService*>(this)->FindTxnLocked(tid);
+  }
 
   // Locks `shard`, maintaining its contention counters.
   static std::unique_lock<std::mutex> LockShard(Shard& shard);
@@ -525,7 +537,8 @@ class ConcurrentLockService {
   // apply.  Serialized by pass_mu_ (the shared epoch mirrors).
   core::ResolutionReport RunPauselessPass();
   // The degraded pass body: aborts transactions blocked for
-  // `sweep_patience` consecutive sweeps.  Same locks as the full pass.
+  // `sweep_patience` consecutive sweeps, visiting only the blocked ones.
+  // Same locks as the full pass.
   core::ResolutionReport RunTimeoutSweep();
 
   // Deadline-timeout body of AcquireBlocking: cancels tid's wait (or
@@ -553,8 +566,9 @@ class ConcurrentLockService {
   void RecordFullPassPause(uint64_t pause_ns);
 
   // Every state change of a record except the one into kBlocked: stores
-  // `to` and runs (and drops) the OnWaitEnd completions registered on
-  // `tid`, which exist only while it is blocked.  txn_mu_ held.
+  // `to`, counts a way out of kBlocked in blocked_txns_, and runs (and
+  // drops) the OnWaitEnd completions registered on `tid`, which exist
+  // only while it is blocked.  txn_mu_ held.
   void TransitionLocked(lock::TransactionId tid, TxnRecord& rec, TxnState to);
 
   // Applies a resolution under the locks that produced it (a pass's, or
@@ -611,19 +625,26 @@ class ConcurrentLockService {
   // under the one shard's mutex.  Null under kPeriodic.
   std::unique_ptr<core::ContinuousDetector> continuous_;
 
-  // Transaction table; guards txns_, wait_ends_, costs_, next_tid_,
-  // next_ts_, live_txns_ and deadlock_victims_.  Acquired after any shard
-  // mutexes, before obs_mu_.
+  // Transaction table; guards txns_, wait_ends_, costs_, next_ts_,
+  // live_txns_, blocked_txns_ and deadlock_victims_.  Acquired after any
+  // shard mutexes, before obs_mu_.
   mutable std::mutex txn_mu_;
-  std::map<lock::TransactionId, TxnRecord> txns_;
-  // OnWaitEnd completions of blocked transactions — a side table because
-  // TxnRecords are never freed and few are ever awaited.
+  // Every transaction ever begun, indexed by tid - 1: Begin issues tids
+  // densely from 1 and appends their records, so a lookup is an index.  A
+  // deque, because emplace_back never moves a record — AcquireBlocking
+  // parks holding a TxnRecord* while other threads Begin.  Append-only.
+  std::deque<TxnRecord> txns_;
+  // OnWaitEnd completions of blocked transactions.  A side table, not a
+  // TxnRecord field: txns_ keeps a record for every transaction ever
+  // begun, and few of them are ever awaited.
   std::unordered_map<lock::TransactionId, std::vector<WaitCompletion>>
       wait_ends_;
   core::CostTable costs_;
-  lock::TransactionId next_tid_ = 1;
   uint64_t next_ts_ = 1;
   size_t live_txns_ = 0;
+  // Records in kBlocked: RegisterLocked counts the way in, TransitionLocked
+  // the ways out.  B of the period controller's T* (docs/TUNING.md).
+  size_t blocked_txns_ = 0;
   size_t deadlock_victims_ = 0;
 
   // Serializes every emission on the shared bus and span tracer

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <barrier>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -402,6 +403,78 @@ TEST(OnWaitEndTest, DetectionPassEndsVictimAndSurvivorWaits) {
   EXPECT_EQ(survivor_calls[0].first, std::this_thread::get_id());
   ASSERT_TRUE(service->Commit(t2).ok());
   EXPECT_EQ(survivor.calls().size(), 1u);
+}
+
+// The transaction table indexes records by tid; a tid it does not hold
+// — kInvalidTransaction, the next one Begin would issue, the largest —
+// is unknown to every call that names a transaction.
+TEST(TxnTableTest, TidsNotIssuedAreNotFound) {
+  auto service = ManualPeriodicService();
+  const lock::TransactionId issued = *service->Begin();
+  for (lock::TransactionId tid :
+       {lock::kInvalidTransaction, issued + 1,
+        std::numeric_limits<lock::TransactionId>::max()}) {
+    SCOPED_TRACE(tid);
+    EXPECT_TRUE(service->State(tid).status().IsNotFound());
+    WaitEndLog log;
+    service->OnWaitEnd(tid, log.Completion());
+    const auto calls = log.calls();
+    ASSERT_EQ(calls.size(), 1u);
+    EXPECT_TRUE(calls[0].second.IsNotFound());
+    EXPECT_TRUE(service->SetCost(tid, 1.0).IsNotFound());
+    EXPECT_TRUE(service->AcquireAsync(tid, 1, kX).status().IsNotFound());
+    EXPECT_TRUE(service->AcquireBlocking(tid, 1, kX).IsNotFound());
+    EXPECT_TRUE(service->Commit(tid).IsNotFound());
+    EXPECT_TRUE(service->Abort(tid).IsNotFound());
+  }
+  EXPECT_EQ(*service->State(issued), TxnState::kActive);
+  EXPECT_TRUE(service->CheckInvariants().ok());
+}
+
+TEST(TxnTableTest, TerminalStatesOutliveLaterTransactions) {
+  auto service = ManualPeriodicService();
+  const lock::TransactionId committed = *service->Begin();
+  const lock::TransactionId aborted = *service->Begin();
+  ASSERT_TRUE(service->AcquireBlocking(committed, 1, kX).ok());
+  ASSERT_TRUE(service->AcquireBlocking(aborted, 2, kX).ok());
+  ASSERT_TRUE(service->Commit(committed).ok());
+  ASSERT_TRUE(service->Abort(aborted).ok());
+  for (int i = 0; i < 100'000; ++i) {
+    const Result<lock::TransactionId> t = service->Begin();
+    ASSERT_TRUE(t.ok());
+    ASSERT_TRUE(service->Commit(*t).ok());
+  }
+  EXPECT_EQ(*service->State(committed), TxnState::kCommitted);
+  EXPECT_EQ(*service->State(aborted), TxnState::kAborted);
+  EXPECT_TRUE(service->Commit(committed).IsFailedPrecondition());
+  EXPECT_TRUE(service->Commit(aborted).IsFailedPrecondition());
+  EXPECT_EQ(service->live_transactions(), 0u);
+  EXPECT_TRUE(service->CheckInvariants().ok());
+}
+
+// AcquireBlocking parks holding a pointer to its transaction's record;
+// Begins on other threads append records meanwhile.  The table must not
+// move the record (a vector would: the waiter would then read freed
+// memory, and miss its grant).
+TEST(TxnTableTest, ParkedWaiterSurvivesTableGrowth) {
+  auto service = ManualPeriodicService();
+  const lock::TransactionId holder = *service->Begin();
+  const lock::TransactionId waiter = *service->Begin();
+  ASSERT_TRUE(service->AcquireBlocking(holder, 1, kX).ok());
+  Status waited = Status::Internal("AcquireBlocking did not return");
+  std::thread parked(
+      [&] { waited = service->AcquireBlocking(waiter, 1, kS); });
+  while (*service->State(waiter) != TxnState::kBlocked) {
+    std::this_thread::yield();
+  }
+  size_t begun = 0;
+  for (int i = 0; i < 20'000; ++i) begun += service->Begin().ok() ? 1 : 0;
+  EXPECT_EQ(begun, 20'000u);
+  EXPECT_TRUE(service->Commit(holder).ok());
+  parked.join();
+  EXPECT_TRUE(waited.ok()) << waited.ToString();
+  EXPECT_EQ(*service->State(waiter), TxnState::kActive);
+  EXPECT_TRUE(service->CheckInvariants().ok());
 }
 
 }  // namespace
