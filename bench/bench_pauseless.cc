@@ -11,14 +11,16 @@
 // The round structure is the experiment's control: the mutation delta a
 // pass observes is set by the batch size, *not* by the table size, so
 // the grid isolates exactly the claim under test — a shard's publish
-// pause is O(journal delta) and stays flat as the table grows, while the
-// stop-the-world pause (which walks the whole table under every shard
-// lock) grows with it.  An open-loop design would conflate the two: the
-// detect phase over a bigger sealed mirror takes longer, a longer pass
-// interval accumulates a bigger delta, and the publish pause would grow
-// with the table for reasons that have nothing to do with the publish
-// bound.  (How detection overlaps live traffic under open-loop load is
-// bench_concurrent's subject.)
+// pause is O(journal delta) and stays flat as the table grows.  The
+// stop-the-world twin runs the whole pass under every shard lock; its
+// Step 1 is incremental and edge-only, so its pause does not grow with
+// the pinned table either: it is a reference point, not a foil.
+// An open-loop design would tie the publish pause to the table size:
+// the detect phase over a bigger sealed mirror takes longer, a longer
+// pass interval accumulates a bigger delta, and the publish pause would
+// grow with the table for reasons that have nothing to do with the
+// publish bound.  (How detection overlaps live traffic under open-loop
+// load is bench_concurrent's subject.)
 //
 // A warm-up pass right after pinning absorbs the initial full-table
 // delta; percentiles cover the steady-state rounds only.  No event bus
@@ -28,9 +30,12 @@
 // Results land in BENCH_pauseless.json: per cell, the per-shard publish
 // pause percentiles, the client-visible pause percentiles
 // (max(publish, apply)), the seal-to-apply detection lag, and the
-// stop-the-world pause percentiles of the twin run.  CI's perf-smoke job
-// gates on publish p99 at the largest table size and on p99 flatness
-// across table sizes.
+// stop-the-world pause percentiles of the twin run, plus the host's core
+// count and the command line that wrote the file.  CI's perf-smoke job
+// gates on publish p99 at the largest table size, on p99 flatness across
+// table sizes, and on lag p50 flatness: the mirrors hold only
+// waiter-bearing resources, so the pinned table, which has no waiter,
+// never reaches the sealed walk.
 //
 // Usage: bench_pauseless [rounds] [out.json]
 
@@ -260,14 +265,17 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot open %s for writing\n", out_path.c_str());
     return 1;
   }
+  std::string command = argv[0];
+  for (int i = 1; i < argc; ++i) command += std::string(" ") + argv[i];
   std::fprintf(out,
                "{\n"
                "  \"benchmark\": \"pauseless_detection\",\n"
                "  \"host_cores\": %u,\n"
+               "  \"command\": \"%s\",\n"
                "  \"rounds\": %zu,\n"
                "  \"txns_per_round\": %zu,\n"
                "  \"cells\": [",
-               host_cores, rounds, kTxnsPerRound);
+               host_cores, command.c_str(), rounds, kTxnsPerRound);
   for (size_t i = 0; i < cells.size(); ++i) {
     const CellResult& cell = cells[i];
     std::fprintf(out,

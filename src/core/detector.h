@@ -40,11 +40,14 @@ class ResourceLookup {
 /// Read-only lookup of per-transaction wait bookkeeping (blocked_on /
 /// blocked_mode / wait_span / wait_started), the post-mortem side of
 /// ResourceLookup.  For sharded owners this returns the info of the shard
-/// the transaction is blocked in (any shard's info when runnable).
+/// the transaction is blocked in.  Readers take a record without
+/// blocked_on like nullptr, so for a runnable transaction an owner may
+/// return either (the epoch-snapshot mirrors keep no runnable records).
 class WaitInfoLookup {
  public:
   virtual ~WaitInfoLookup() = default;
-  /// Wait info of `tid`, or nullptr when the transaction is unknown.
+  /// Wait info of `tid`, or nullptr when the transaction is unknown (or,
+  /// for some owners, runnable).
   virtual const lock::TxnLockInfo* FindWaitInfo(lock::TransactionId tid)
       const = 0;
 };
@@ -219,6 +222,18 @@ struct DetectorOptions {
 };
 
 /// Outcome of one detection-resolution pass.
+///
+/// What a pass counts depends on the tables it ran over.  A pass over a
+/// whole lock table (sequential, continuous, stop-the-world) puts every
+/// transaction on the table in its TST.  A pauseless pass
+/// (txn::ConcurrentLockService's kEpochDelta) runs over shard mirrors
+/// that hold only the waiter-bearing resources (txn/epoch_snapshot.h),
+/// so a transaction that appears only on uncontended resources is not in
+/// its TST: `num_transactions`, `steps` and the graph-cache counters can
+/// be lower than a stop-the-world report on the same state (each such
+/// transaction costs the walk one step), while cycles, decisions,
+/// post-mortems and the abortion, spared, grant and change lists are the
+/// same.
 struct ResolutionReport {
   /// Cycles the walk actually detected and resolved (the paper's c').
   size_t cycles_detected = 0;

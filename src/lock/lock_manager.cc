@@ -13,9 +13,7 @@ Result<RequestOutcome> LockManager::Acquire(TransactionId tid, ResourceId rid,
   if (tid == kInvalidTransaction) {
     return Status::InvalidArgument("invalid transaction id 0");
   }
-  auto [info_slot, new_txn] = txns_.TryEmplace(tid);
-  if (new_txn) tids_dirty_ = true;
-  TxnLockInfo& info = *info_slot;
+  TxnLockInfo& info = *txns_.TryEmplace(tid).first;
   if (info.blocked_on.has_value()) {
     return Status::FailedPrecondition(common::Format(
         "T%u is blocked on R%u and cannot request R%u", tid,
@@ -51,6 +49,8 @@ Result<RequestOutcome> LockManager::Acquire(TransactionId tid, ResourceId rid,
   info.touched.Insert(rid);
   if (*outcome == RequestOutcome::kBlocked) {
     info.blocked_on = rid;
+    blocked_.insert(
+        std::lower_bound(blocked_.begin(), blocked_.end(), tid), tid);
     const HolderEntry* h = state.FindHolder(tid);
     info.blocked_mode = h != nullptr ? h->blocked : mode;
     // Every block opens a fresh wait span — even without a bus, so span
@@ -100,8 +100,8 @@ std::vector<TransactionId> LockManager::ReleaseAll(TransactionId tid) {
     std::vector<TransactionId> g = ReleaseOn(tid, rid);
     granted.insert(granted.end(), g.begin(), g.end());
   }
+  ClearBlocked(tid, *info);
   txns_.Erase(tid);
-  tids_dirty_ = true;
   if (observing) {
     obs::Event event;
     event.kind = obs::EventKind::kLockRelease;
@@ -134,7 +134,10 @@ std::vector<TransactionId> LockManager::ReleaseOn(TransactionId tid,
 }
 
 void LockManager::Forget(TransactionId tid) {
-  if (txns_.Erase(tid)) tids_dirty_ = true;
+  // A blocked transaction aborted through ReleaseOn (cross-shard release)
+  // leaves the blocked set here.
+  if (TxnLockInfo* info = txns_.Find(tid)) ClearBlocked(tid, *info);
+  txns_.Erase(tid);
 }
 
 Result<std::vector<TransactionId>> LockManager::CancelWait(TransactionId tid) {
@@ -157,8 +160,7 @@ Result<std::vector<TransactionId>> LockManager::CancelWait(TransactionId tid) {
   // A cancelled queue member leaves the resource entirely; a cancelled
   // converter keeps holding it.
   if (!state->Involves(tid)) info->touched.Erase(rid);
-  info->blocked_on.reset();
-  info->blocked_mode = LockMode::kNL;
+  ClearBlocked(tid, *info);
   NoteGranted(*granted);
   if (obs::Enabled(bus_)) {
     for (TransactionId waiter : *granted) {
@@ -234,28 +236,11 @@ uint64_t LockManager::WaitStarted(TransactionId tid) const {
   return info != nullptr ? info->wait_started : 0;
 }
 
-void LockManager::RefreshTidOrder() const {
-  if (!tids_dirty_ && ordered_tids_.size() == txns_.size()) return;
-  ordered_tids_.clear();
-  ordered_tids_.reserve(txns_.size());
-  for (const auto& entry : txns_.entries()) {
-    ordered_tids_.push_back(entry.key);
-  }
-  std::sort(ordered_tids_.begin(), ordered_tids_.end());
-  tids_dirty_ = false;
-}
-
 std::vector<TransactionId> LockManager::KnownTransactions() const {
-  RefreshTidOrder();
-  return ordered_tids_;
-}
-
-std::vector<TransactionId> LockManager::BlockedTransactions() const {
-  RefreshTidOrder();
   std::vector<TransactionId> out;
-  for (TransactionId tid : ordered_tids_) {
-    if (txns_.Find(tid)->blocked_on.has_value()) out.push_back(tid);
-  }
+  out.reserve(txns_.size());
+  for (const auto& entry : txns_.entries()) out.push_back(entry.key);
+  std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -265,19 +250,26 @@ void LockManager::NoteGranted(const std::vector<TransactionId>& granted) {
   const bool tracing = obs::Tracing(tracer_);
   for (TransactionId tid : granted) {
     if (tracing) tracer_->CloseWait(tid, obs::WaitOutcome::kGranted);
-    TxnLockInfo* info = txns_.Find(tid);
-    if (info != nullptr) {
-      info->blocked_on.reset();
-      info->blocked_mode = LockMode::kNL;
-    }
+    if (TxnLockInfo* info = txns_.Find(tid)) ClearBlocked(tid, *info);
   }
+}
+
+void LockManager::ClearBlocked(TransactionId tid, TxnLockInfo& info) {
+  if (!info.blocked_on.has_value()) return;
+  info.blocked_on.reset();
+  info.blocked_mode = LockMode::kNL;
+  blocked_.erase(std::lower_bound(blocked_.begin(), blocked_.end(), tid));
 }
 
 Status LockManager::CheckInvariants(bool deep) const {
   TWBG_RETURN_IF_ERROR(table_.CheckInvariants());
-  for (const auto& [tid, info] : txn_infos()) {
+  // {tid : blocked_on set}, ascending — what blocked_ must equal.
+  std::vector<TransactionId> blocked;
+  for (const TransactionId tid : KnownTransactions()) {
+    const TxnLockInfo& info = *txns_.Find(tid);
     // blocked_on matches the table.
     if (info.blocked_on.has_value()) {
+      blocked.push_back(tid);
       const ResourceState* state = table_.Find(*info.blocked_on);
       if (state == nullptr || !state->IsBlockedHere(tid)) {
         return Status::Internal(common::Format(
@@ -300,6 +292,12 @@ Status LockManager::CheckInvariants(bool deep) const {
             "T%u is blocked on R%u but bookkeeping says otherwise", tid, rid));
       }
     }
+  }
+  if (blocked != blocked_) {
+    return Status::Internal(common::Format(
+        "the blocked set (%zu tids) is not the %zu transactions with "
+        "blocked_on set, ascending",
+        blocked_.size(), blocked.size()));
   }
   if (!deep) return Status::OK();
   // Every table appearance belongs to a known transaction (Axiom 1 global:

@@ -9,18 +9,20 @@
 // baselines/) read and, for resolution, mutate it through this interface.
 //
 // Bookkeeping storage mirrors the lock table's layout: a flat hash table
-// of TxnLockInfo keyed by transaction id (common/flat_map.h) with a lazily
-// sorted tid index for the ordered sweeps (KnownTransactions,
-// BlockedTransactions, txn_infos), and an inline-capacity sorted set for
-// each transaction's touched-resource list — under strict 2PL a
-// transaction rarely touches more than a handful of resources, so the
-// Acquire/Release hot path stays allocation-free.
+// of TxnLockInfo keyed by transaction id (common/flat_map.h), unordered —
+// the cold ordered sweep (KnownTransactions) sorts on demand — and an
+// inline-capacity sorted set for each transaction's touched-resource list:
+// under strict 2PL a transaction rarely touches more than a handful of
+// resources, so the Acquire/Release hot path stays allocation-free.  The
+// blocked transactions are kept apart in an ascending vector, updated
+// where a transaction blocks and wherever it stops being blocked, so the
+// readers that want only waiters (detection-pass publishes, admission
+// watermarks, timeout sweeps) never visit a runnable transaction.
 
 #ifndef TWBG_LOCK_LOCK_MANAGER_H_
 #define TWBG_LOCK_LOCK_MANAGER_H_
 
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "common/flat_map.h"
@@ -120,64 +122,20 @@ class LockManager {
   /// or when no bus was attached at block time.
   uint64_t WaitStarted(TransactionId tid) const;
 
-  /// All transactions known to the lock manager, ascending by id.
+  /// All transactions known to the lock manager, ascending by id.  Sorts
+  /// on every call: for cold callers (views, scripts, invariant checks).
   std::vector<TransactionId> KnownTransactions() const;
 
-  /// Read-only iteration view over the per-transaction bookkeeping,
-  /// ascending by transaction id.  Dereferences to (tid, info) proxy
-  /// pairs — `for (const auto& [tid, info] : manager.txn_infos())` — so
-  /// the underlying container never leaks into the public header.  Exists
-  /// for snapshot captures that mirror every transaction's wait state in
-  /// one ordered sweep instead of one lookup per transaction
-  /// (txn::ShardSnapshot::Capture).  Invalidated by any mutation of the
-  /// manager.
-  class TxnInfoView {
-   public:
-    class iterator {
-     public:
-      using value_type = std::pair<TransactionId, const TxnLockInfo&>;
+  /// All currently blocked transactions, ascending by id: the kept set
+  /// itself, not a copy.  Invalidated by any mutation of the manager — a
+  /// caller that acquires, releases, cancels or reschedules while
+  /// iterating must iterate a copy.
+  const std::vector<TransactionId>& BlockedTransactions() const {
+    return blocked_;
+  }
 
-      iterator(const LockManager* manager, size_t pos)
-          : manager_(manager), pos_(pos) {}
-      value_type operator*() const {
-        const TransactionId tid = manager_->ordered_tids_[pos_];
-        return {tid, *manager_->txns_.Find(tid)};
-      }
-      iterator& operator++() {
-        ++pos_;
-        return *this;
-      }
-      bool operator==(const iterator& other) const {
-        return pos_ == other.pos_;
-      }
-      bool operator!=(const iterator& other) const {
-        return pos_ != other.pos_;
-      }
-
-     private:
-      const LockManager* manager_;
-      size_t pos_;
-    };
-
-    explicit TxnInfoView(const LockManager* manager) : manager_(manager) {}
-    iterator begin() const {
-      manager_->RefreshTidOrder();
-      return iterator(manager_, 0);
-    }
-    iterator end() const {
-      return iterator(manager_, manager_->txns_.size());
-    }
-    size_t size() const { return manager_->txns_.size(); }
-    bool empty() const { return manager_->txns_.empty(); }
-
-   private:
-    const LockManager* manager_;
-  };
-
-  TxnInfoView txn_infos() const { return TxnInfoView(this); }
-
-  /// All currently blocked transactions, ascending by id.
-  std::vector<TransactionId> BlockedTransactions() const;
+  /// Number of currently blocked transactions.
+  size_t NumBlocked() const { return blocked_.size(); }
 
   const LockTable& table() const { return table_; }
   LockTable& mutable_table() { return table_; }
@@ -204,25 +162,25 @@ class LockManager {
   obs::SpanTracer* span_tracer() const { return tracer_; }
 
   /// Checks lock-table invariants plus bookkeeping consistency (blocked_on
-  /// matches the table; touched sets match appearances).  The cross-checks
-  /// that sweep every transaction against every resource are O(T×R); pass
-  /// `deep = false` (benchmarks, large simulations) to skip them and keep
-  /// only the per-resource and per-blocked-transaction checks.
+  /// matches the table; the blocked set is exactly the transactions with
+  /// blocked_on set, ascending; touched sets match appearances).  The
+  /// cross-checks that sweep every transaction against every resource are
+  /// O(T×R); pass `deep = false` (benchmarks, large simulations) to skip
+  /// them and keep only the per-resource and per-transaction checks.
   Status CheckInvariants(bool deep = true) const;
 
  private:
   // Clears blocked state for every granted transaction.
   void NoteGranted(const std::vector<TransactionId>& granted);
 
-  // Re-sorts the tid index if an insert/erase invalidated it (lazy,
-  // `mutable`: the ordered views stay const).
-  void RefreshTidOrder() const;
+  // Clears `info`'s blocked state and drops `tid` from blocked_; a no-op
+  // when it is runnable.  Every way out of blocked goes through here.
+  void ClearBlocked(TransactionId tid, TxnLockInfo& info);
 
   LockTable table_;
   common::FlatMap<TransactionId, TxnLockInfo> txns_;
-  // Ordered-iteration seam over txns_, mirroring LockTable's.
-  mutable std::vector<TransactionId> ordered_tids_;
-  mutable bool tids_dirty_ = false;
+  // Every tid whose blocked_on is set, ascending.
+  std::vector<TransactionId> blocked_;
   obs::EventBus* bus_ = nullptr;
   obs::SpanTracer* tracer_ = nullptr;
   uint64_t next_wait_span_ = 1;  // wait-span ids are manager-wide monotonic

@@ -129,6 +129,15 @@ class ResourceState {
   /// member.
   bool IsBlockedHere(TransactionId tid) const;
 
+  /// True when some transaction is blocked here: the queue is non-empty
+  /// or the front holder is a blocked converter (blocked converters form
+  /// the holder list's prefix, I1).  ECR 1-3 draw no edge at a resource
+  /// without a waiter.
+  bool HasWaiter() const {
+    return !queue_.empty() ||
+           (!holders_.empty() && holders_.front().IsBlocked());
+  }
+
   /// Handles a lock request from `tid` for `mode` per §3:
   ///  * conversion (tid already a holder): grant if the converted mode is
   ///    compatible with every other holder's granted mode, else block the

@@ -71,11 +71,15 @@ enum class EventKind : uint8_t {
   /// Step 1 (graph construction) finished.  `tid` as in kPassStart;
   /// `a` = cache misses (dirty resources), `b` = cache hits (resources
   /// served from the PR-1 incremental edge cache); both 0 for a
-  /// from-scratch build; `value` = build time in nanoseconds.
+  /// from-scratch build; `value` = build time in nanoseconds.  A
+  /// pauseless pass builds from mirrors of the waiter-bearing resources
+  /// only, so its counts can be lower than a stop-the-world pass's over
+  /// the same state (ResolutionReport, core/detector.h).
   kStep1,
   /// Step 2 (the directed walk, resolutions applied on the spot)
-  /// finished.  `a` = cycles detected, `b` = walk steps;
-  /// `value` = walk time in nanoseconds.
+  /// finished.  `a` = cycles detected, `b` = walk steps (lower in a
+  /// pauseless pass by one per transaction seen on uncontended resources
+  /// only); `value` = walk time in nanoseconds.
   kStep2,
   /// The pass finished (after Step 3 reconciliation).  `a` = cycles
   /// detected, `b` = transactions aborted; `value` = total pass time in
@@ -147,10 +151,11 @@ enum class EventKind : uint8_t {
   //    snapshots; see docs/DESIGN.md "Epoch snapshots") --
   /// One shard published its incremental delta into the detector's epoch
   /// snapshot (the only moment the pauseless pass holds that shard's
-  /// mutex).  `rid` = the shard index (not a resource); `a` = dirty
-  /// resources captured, `b` = 1 when the mutation journal could not
-  /// answer and the capture fell back to a full version-compare sweep;
-  /// `span` = the snapshot epoch being built; `value` = the shard's
+  /// mutex).  `rid` = the shard index (not a resource); `a` = resources
+  /// staged, copied into the mirror or erased from it
+  /// (ShardCaptureStats, txn/epoch_snapshot.h); `b` = 1 when the journal
+  /// could not answer and the capture fell back to a full version-compare
+  /// sweep; `span` = the snapshot epoch being built; `value` = the shard's
   /// publish pause in nanoseconds.
   kSnapshotPublish,
   /// A resolution command derived from the sealed epoch failed its

@@ -373,7 +373,7 @@ void Simulator::MaybeRunPeriodicPass() {
     sample.elapsed = metrics_.ticks - last_pass_tick_;
     sample.detection_cost = static_cast<double>(last_pass_work_);
     sample.cycles_resolved = last_pass_cycles_;
-    sample.blocked_txns = lock_manager_.BlockedTransactions().size();
+    sample.blocked_txns = lock_manager_.NumBlocked();
   }
   if (const std::optional<sched::PeriodRetune> retune =
           controller_->OnPassComplete(sample)) {
@@ -596,7 +596,7 @@ SimMetrics Simulator::Run() {
 
     MaybeRunPeriodicPass();
 
-    metrics_.blocked_ticks += lock_manager_.BlockedTransactions().size();
+    metrics_.blocked_ticks += lock_manager_.NumBlocked();
     if (progress || acted_this_tick_) {
       stall = 0;
     } else if (++stall >= config_.stall_patience) {

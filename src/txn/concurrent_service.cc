@@ -506,7 +506,7 @@ Result<lock::RequestOutcome> ConcurrentLockService::RegisterLocked(
     if (!holder) {
       robustness::AdmissionContext ctx;
       ctx.inflight_txns = live_txns_;
-      ctx.queue_depth = shard.lm.BlockedTransactions().size();
+      ctx.queue_depth = shard.lm.NumBlocked();
       Status admitted =
           robustness::WatermarkAdmission(options_.robustness.admission)
               .AdmitAcquire(ctx);
@@ -840,7 +840,7 @@ core::ResolutionReport ConcurrentLockService::RunPauselessPass() {
       shard.hold_ns += publish_ns;
     }
     snapshots_[s].Fold();
-    // Publish-span counters: a = dirty resources captured, b = the
+    // Publish-span counters: a = resources staged, b = the
     // client-visible publish pause in nanoseconds (the span's duration
     // also covers the fold, which runs off the shard lock).
     CloseSpanStandalone(publish_span, capture.dirty, publish_ns);
@@ -1136,7 +1136,7 @@ core::ResolutionReport ConcurrentLockService::RunTimeoutSweep() {
     const uint32_t patience = options_.robustness.degradation.sweep_patience;
     std::vector<lock::TransactionId> blocked;
     for (const auto& shard : shards_) {
-      const std::vector<lock::TransactionId> in_shard =
+      const std::vector<lock::TransactionId>& in_shard =
           shard->lm.BlockedTransactions();
       blocked.insert(blocked.end(), in_shard.begin(), in_shard.end());
     }
@@ -1620,10 +1620,9 @@ std::string ConcurrentLockService::DebugDump() {
   for (size_t s = 0; s < shards_.size(); ++s) {
     out += common::Format("shard %zu:\n", s);
     out += shards_[s]->lm.table().ToString();
-    for (lock::TransactionId tid : shards_[s]->lm.KnownTransactions()) {
-      const lock::TxnLockInfo* info = shards_[s]->lm.Info(tid);
-      if (info == nullptr || !info->blocked_on.has_value()) continue;
-      out += common::Format("  T%u waits on R%u\n", tid, *info->blocked_on);
+    for (lock::TransactionId tid : shards_[s]->lm.BlockedTransactions()) {
+      out += common::Format("  T%u waits on R%u\n", tid,
+                            *shards_[s]->lm.BlockedOn(tid));
     }
   }
   for (size_t index = 0; index < txns_.size(); ++index) {

@@ -8,6 +8,16 @@
 
 namespace twbg::txn {
 
+namespace {
+
+// True when `state` exists and has a waiter: the resources the mirror
+// holds (ECR 1-3 draw no edge anywhere else).
+bool WaiterBearing(const lock::ResourceState* state) {
+  return state != nullptr && state->HasWaiter();
+}
+
+}  // namespace
+
 ShardCaptureStats ShardSnapshot::Capture(const lock::LockManager& live) {
   const lock::LockTable& lt = live.table();
   dirty_scratch_.clear();
@@ -20,6 +30,9 @@ ShardCaptureStats ShardSnapshot::Capture(const lock::LockManager& live) {
   staged_waits_.clear();
 
   ShardCaptureStats stats;
+  // The mirror holds the live shard's waiter-bearing resources only, so a
+  // changed resource is staged when it has a waiter now (to be copied) or
+  // the mirror holds it (to be erased, unless it still has a waiter).
   // Two dirty sources: the live journal (client mutations since the last
   // capture) and the mirror's own journal since the last fold (walk
   // TDR-2s whose validated apply may have been rejected — live will
@@ -28,20 +41,28 @@ ShardCaptureStats ShardSnapshot::Capture(const lock::LockManager& live) {
   const bool journals_answered =
       lt.DirtySince(synced_seq_, &dirty_scratch_) &&
       table_.DirtySince(folded_seq_, &dirty_scratch_);
-  if (!journals_answered) {
+  if (journals_answered) {
+    // Most journaled resources never had a waiter (an uncontended grant
+    // and its release); drop them before the sort, which then orders only
+    // what is staged.
+    std::erase_if(dirty_scratch_, [&](lock::ResourceId rid) {
+      return !WaiterBearing(lt.Find(rid)) && table_.Find(rid) == nullptr;
+    });
+  } else {
     // The journal fell behind (or this is the first capture of a table
     // that already trimmed): sweep both sides, keyed on version stamps —
     // equal versions guarantee identical content (lock/resource_state.h).
     stats.full_sweep = true;
     dirty_scratch_.clear();
     for (const auto& [rid, state] : lt) {
+      if (!state.HasWaiter()) continue;
       const lock::ResourceState* mine = table_.Find(rid);
       if (mine == nullptr || mine->version() != state.version()) {
         dirty_scratch_.push_back(rid);
       }
     }
     for (const auto& [rid, state] : table_) {
-      if (lt.Find(rid) == nullptr) dirty_scratch_.push_back(rid);
+      if (!WaiterBearing(lt.Find(rid))) dirty_scratch_.push_back(rid);
     }
   }
   synced_seq_ = lt.mutation_seq();
@@ -52,7 +73,8 @@ ShardCaptureStats ShardSnapshot::Capture(const lock::LockManager& live) {
   stats.dirty = dirty_scratch_.size();
 
   for (const lock::ResourceId rid : dirty_scratch_) {
-    if (const lock::ResourceState* theirs = lt.Find(rid)) {
+    const lock::ResourceState* theirs = lt.Find(rid);
+    if (WaiterBearing(theirs)) {
       // Copy-assignment keeps the live version stamp (resource_state.h).
       if (staged_states_used_ < staged_states_.size()) {
         staged_states_[staged_states_used_] = *theirs;
@@ -65,14 +87,14 @@ ShardCaptureStats ShardSnapshot::Capture(const lock::LockManager& live) {
     }
   }
 
-  // Stage the live per-transaction wait map wholesale — one ordered sweep
-  // over O(active transactions), which is workload-bound, never
-  // table-bound.  Only the wait fields are copied: `touched` is as large
-  // as a transaction's lock footprint (a long-lived reader can hold the
-  // whole shard), and nothing downstream of the sealed mirror reads it —
-  // the walk wants blocked_on/blocked_mode, post-mortems want the wait
-  // clocks.
-  for (const auto& [tid, info] : live.txn_infos()) {
+  // Stage the wait info of the blocked transactions, the only records the
+  // walk and post-mortems read — one pass over the live blocked set,
+  // ascending by tid.  Only the wait fields are copied: `touched` is as
+  // large as a transaction's lock footprint, and nothing downstream of
+  // the sealed mirror reads it — the walk wants blocked_on/blocked_mode,
+  // post-mortems want the wait clocks.
+  for (const lock::TransactionId tid : live.BlockedTransactions()) {
+    const lock::TxnLockInfo& info = *live.Info(tid);
     lock::TxnLockInfo slim;
     slim.blocked_on = info.blocked_on;
     slim.blocked_mode = info.blocked_mode;
@@ -100,11 +122,11 @@ void ShardSnapshot::Fold() {
     const lock::ResourceState& state = staged_states_[i];
     table_.GetOrCreate(state.rid()) = state;
   }
-  // The staged wait map is the whole live map at the capture point, so
-  // the mirror is rebuilt rather than patched — a departed transaction
-  // simply no longer appears.  Staging is in ascending id order (the
-  // txn_infos view), so one swap adopts it sorted; the retired buffer
-  // becomes next pass's staging capacity.
+  // The staged wait records are every blocked transaction at the capture
+  // point, so the mirror is rebuilt rather than patched — a transaction
+  // no longer blocked simply no longer appears.  Staging is in ascending
+  // id order (the blocked set's), so one swap adopts it sorted; the
+  // retired buffer becomes next pass's staging capacity.
   waits_.swap(staged_waits_);
   staged_states_used_ = 0;  // elements stay alive for capacity reuse
   staged_erased_.clear();

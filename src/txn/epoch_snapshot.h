@@ -2,29 +2,42 @@
 //
 // Epoch snapshots for pauseless periodic detection.  Each shard of
 // txn::ConcurrentLockService owns a ShardSnapshot: a detector-side mirror
-// of the shard's lock table plus the per-transaction wait bookkeeping the
-// walk and post-mortems read.  A pass begins by *publishing* every
-// shard's delta — Capture() runs under the shard mutex and stages exactly
-// the resources the live table's mutation journal says changed since the
-// previous pass, an O(delta) copy — and then *sealing* the epoch:
-// Fold() applies the staged delta into the mirror outside any lock.  The
-// Step 1/2 detection walk then runs over the sealed mirrors while client
-// traffic proceeds on the live shards; the only pause a shard ever
-// observes is its own Capture().
+// of exactly what the Step 1/2 walk and post-mortems read of the shard —
+// its waiter-bearing resources (a non-empty queue or a blocked converter)
+// and the wait records of its blocked transactions.  ECR 1-3 draw no
+// edge at a resource without a waiter, and the walk asks for wait info of
+// blocked transactions only, so the rest of the shard (typically most of
+// it: uncontended locks and the transactions holding only those) is
+// never copied.  A pass begins by *publishing* every shard — Capture()
+// runs under the shard mutex and stages the resources the live table's
+// mutation journal says changed since the previous pass, filtered to
+// those that have a waiter now or sit in the mirror, plus the blocked
+// transactions' wait records — and then *sealing* the epoch: Fold()
+// applies the staged delta outside any lock.  The walk then runs over
+// the sealed mirrors while client traffic proceeds on the live shards;
+// the only pause a shard ever observes is its own Capture().
 //
 // Why the mirror converges: every mutation of live resource state —
 // grants, blocks, releases, repositionings, cancellations — goes through
-// the LockTable journal (conservatively; see lock/lock_table.h), so
-// staging the journal's dirty set reproduces the live table exactly as
-// of the capture point.  Per-transaction wait state is not diffed at
-// all: the live wait map is mirrored wholesale each capture — an
-// ordered sweep over O(active transactions), workload-bound and
-// independent of table size.  Copy-assignment of ResourceState
-// preserves version(), so the mirror carries the *live* version stamps
-// — which is what lets resolution commands derived from the sealed
-// epoch be validated against the live shards later
+// the LockTable journal (conservatively; see lock/lock_table.h).  A
+// resource that gains or loses its last waiter is therefore journaled,
+// and the capture copies it (waiter) or erases it from the mirror (no
+// waiter), so after each Fold the mirror's resources are exactly the live
+// shard's waiter-bearing resources as of the capture point.  Wait records
+// are not diffed: the live blocked set is small and kept in tid order by
+// the LockManager, and is mirrored whole each capture.  Copy-assignment
+// of ResourceState preserves version(), so the mirror carries the *live*
+// version stamps — which is what lets resolution commands derived from
+// the sealed epoch be validated against the live shards later
 // (core::VictimDecision::evidence), and what lets the mirror feed the
 // same incremental core::GraphBuilder cache path as a live table.
+//
+// What a pass over the mirrors counts differs from a pass over the live
+// tables in one way: the transactions that appear only on waiter-free
+// resources (bystanders) are not in the mirror, so they are not in the
+// TST.  Cycles, decisions, victims, grants and post-mortems are the same;
+// the pass's transaction count, walk steps and graph-cache counters can
+// be lower (core::ResolutionReport).
 
 #ifndef TWBG_TXN_EPOCH_SNAPSHOT_H_
 #define TWBG_TXN_EPOCH_SNAPSHOT_H_
@@ -41,8 +54,9 @@ namespace twbg::txn {
 
 /// What one Capture() staged, for the kSnapshotPublish event.
 struct ShardCaptureStats {
-  /// Distinct resources staged (journal delta, or changed/erased entries
-  /// found by the fallback sweep).
+  /// Distinct resources staged, whether copied into the mirror (they
+  /// have a waiter) or erased from it (they no longer have one): the
+  /// journal delta filtered to those, or what the fallback sweep found.
   size_t dirty = 0;
   /// True when the journal could not answer (reader fell behind its
   /// retention window) and the capture fell back to a full
@@ -50,8 +64,9 @@ struct ShardCaptureStats {
   bool full_sweep = false;
 };
 
-/// Detector-side mirror of one shard's lock state.  Capture() under the
-/// shard lock, Fold() outside it, then read the sealed mirror freely —
+/// Detector-side mirror of one shard's waiter-bearing resources and
+/// blocked transactions.  Capture() under the shard lock, Fold() outside
+/// it, then read the sealed mirror freely —
 /// the owner guarantees no concurrent Capture/Fold (the pauseless pass is
 /// serialized).
 class ShardSnapshot {
@@ -60,9 +75,11 @@ class ShardSnapshot {
       lock::AdmissionPolicy policy = lock::AdmissionPolicy::kTotalMode)
       : table_(policy) {}
 
-  /// Stages everything that changed in `live` since the previous capture,
-  /// plus the live per-transaction wait map.  Runs under the shard mutex;
-  /// O(resources mutated since last pass + active transactions) when the
+  /// Stages every resource of `live` that changed since the previous
+  /// capture and has a waiter now or sits in the mirror, plus the wait
+  /// records of `live`'s blocked transactions.  Runs under the shard
+  /// mutex; O(J + S log S + B) for J journal entries since the last
+  /// capture, S staged resources and B blocked transactions when the
   /// journal can answer, O(shard table) on the fallback sweep.  No mirror
   /// state is modified — publication is split so the costly fold runs
   /// outside the lock.
@@ -72,24 +89,25 @@ class ShardSnapshot {
   /// mutex; touches only detector-owned state.
   void Fold();
 
-  /// The sealed mirror table.  Mutable access exists for the walk's
+  /// The sealed mirror table: the live shard's waiter-bearing resources
+  /// at the capture point.  Mutable access exists for the walk's
   /// TDR-2 repositioning (applied to the mirror first, validated against
   /// the live shard later).
   const lock::LockTable& table() const { return table_; }
   lock::LockTable& mutable_table() { return table_; }
 
-  /// Mirror of LockManager::Info at the capture point: wait info of
-  /// `tid`, or nullptr when the shard does not know the transaction.
-  /// Only the wait fields (blocked_on, blocked_mode, wait_span,
-  /// wait_started) are mirrored; `touched` is always empty — it can be
-  /// as large as a transaction's whole lock footprint, the walk and
-  /// post-mortems never read it, and staging it would break the
-  /// O(delta) publish bound.
+  /// Mirror of LockManager::Info at the capture point for a transaction
+  /// blocked in this shard, or nullptr when `tid` was not blocked here
+  /// (runnable, or unknown to the shard).  Only the wait fields
+  /// (blocked_on, blocked_mode, wait_span, wait_started) are mirrored;
+  /// `touched` is always empty — it can be as large as a transaction's
+  /// whole lock footprint, and the walk and post-mortems never read it.
   const lock::TxnLockInfo* FindWaitInfo(lock::TransactionId tid) const;
 
  private:
   lock::LockTable table_;
-  // Wait map mirror: (tid, info) ascending by tid.  A sorted vector
+  // Wait records of the blocked transactions: (tid, info) ascending by
+  // tid.  A sorted vector
   // rather than a tree — Fold() adopts the staged sweep with one swap
   // (the retired buffer becomes next pass's staging capacity, so the
   // rebuild allocates nothing in steady state) and lookups binary-search.
@@ -134,19 +152,19 @@ class SnapshotWalkHost final : public core::ParallelWalkHost {
       lock::ResourceId rid) const override {
     return snapshots_[shard_of_(rid)].table().Find(rid);
   }
-  // Same preference rule as the live PassHost: a transaction can be known
-  // to several shards; only the shard of the resource it is blocked on
-  // carries blocked_on.
+  // The record of the shard that has `tid` blocked, or nullptr when no
+  // mirror does (runnable transactions have no mirrored record).  Shards
+  // capture one at a time, so a transaction granted in one shard and
+  // re-blocked in another between captures can be blocked in two
+  // mirrors; the first in shard order wins, as in the live PassHost.
   const lock::TxnLockInfo* FindWaitInfo(
       lock::TransactionId tid) const override {
-    const lock::TxnLockInfo* any = nullptr;
     for (const ShardSnapshot& snapshot : snapshots_) {
-      const lock::TxnLockInfo* info = snapshot.FindWaitInfo(tid);
-      if (info == nullptr) continue;
-      if (info->blocked_on.has_value()) return info;
-      if (any == nullptr) any = info;
+      if (const lock::TxnLockInfo* info = snapshot.FindWaitInfo(tid)) {
+        return info;
+      }
     }
-    return any;
+    return nullptr;
   }
   Status ApplyTdr2Direct(lock::ResourceId rid,
                          lock::TransactionId junction) override;

@@ -7,6 +7,7 @@
 //   * ResourceState copy-assignment reuses destination holder/queue
 //     capacity (the PR-6 snapshot-staging contract),
 //   * a steady-state ShardSnapshot Capture+Fold round allocates nothing,
+//     also while waiters come and go,
 //   * steady-state create/erase churn on a LockTable recycles pooled
 //     states instead of allocating,
 //   * the fast-path Acquire of an uncontended lock allocates nothing
@@ -101,6 +102,51 @@ TEST(CaptureAllocTest, SteadyStateCaptureAndFoldAreAllocFree) {
   const uint64_t before = AllocCount();
   for (int i = 0; i < 50; ++i) one_round(4);
   EXPECT_EQ(AllocCount(), before)
+      << "steady-state capture+fold rounds must not allocate";
+}
+
+// The publish with waiters coming and going: each round a resource gains
+// a waiter (copied into the mirror, its waiter's record staged) and loses
+// it again (erased from the mirror), a standing waiter stays blocked, and
+// uncontended churn never reaches the mirror.  Only the Capture+Fold
+// windows are counted: a release that grants returns a vector.
+TEST(CaptureAllocTest, SteadyStateCaptureWithWaiterChurnIsAllocFree) {
+  LockManager lm;
+  txn::ShardSnapshot snapshot;
+  ASSERT_TRUE(lm.Acquire(1, 10, LockMode::kS).ok());
+  ASSERT_TRUE(lm.Acquire(2, 10, LockMode::kX).ok());  // blocks for good
+  uint64_t publish_allocs = 0;
+  auto publish = [&] {
+    const uint64_t before = AllocCount();
+    const txn::ShardCaptureStats stats = snapshot.Capture(lm);
+    snapshot.Fold();
+    publish_allocs += AllocCount() - before;
+    return stats;
+  };
+  EXPECT_EQ(publish().dirty, 1u);  // R10
+  auto one_round = [&] {
+    for (lock::ResourceId rid = 100; rid < 110; ++rid) {
+      ASSERT_TRUE(lm.Acquire(3, rid, LockMode::kX).ok());
+    }
+    lm.ReleaseAll(3);  // waiter-free churn: never staged
+    ASSERT_TRUE(lm.Acquire(4, 30, LockMode::kX).ok());
+    ASSERT_TRUE(lm.Acquire(5, 30, LockMode::kS).ok());  // blocks
+    ASSERT_EQ(lm.NumBlocked(), 2u);
+    EXPECT_EQ(publish().dirty, 1u);  // R30 copied
+    ASSERT_NE(snapshot.table().Find(30), nullptr);
+    ASSERT_NE(snapshot.FindWaitInfo(5), nullptr);
+    lm.ReleaseAll(4);  // grants T5
+    lm.ReleaseAll(5);
+    EXPECT_EQ(publish().dirty, 1u);  // R30 erased
+    ASSERT_EQ(snapshot.table().Find(30), nullptr);
+    ASSERT_EQ(snapshot.FindWaitInfo(5), nullptr);
+    ASSERT_NE(snapshot.FindWaitInfo(2), nullptr);
+    ASSERT_EQ(snapshot.table().size(), 1u);  // R10 only
+  };
+  for (int i = 0; i < 200; ++i) one_round();
+  publish_allocs = 0;
+  for (int i = 0; i < 50; ++i) one_round();
+  EXPECT_EQ(publish_allocs, 0u)
       << "steady-state capture+fold rounds must not allocate";
 }
 

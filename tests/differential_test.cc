@@ -60,7 +60,10 @@ TEST(DifferentialTest, BothDetectorsFullyResolveRandomStates) {
     CostTable continuous_costs;
     ContinuousDetector continuous;
     size_t continuous_cycles = 0;
-    for (lock::TransactionId tid : continuous_lm.BlockedTransactions()) {
+    // OnBlock mutates the manager: iterate a copy of the blocked set.
+    const std::vector<lock::TransactionId> blocked =
+        continuous_lm.BlockedTransactions();
+    for (lock::TransactionId tid : blocked) {
       ResolutionReport r =
           continuous.OnBlock(continuous_lm, continuous_costs, tid);
       continuous_cycles += r.cycles_detected;
@@ -96,7 +99,8 @@ TEST(DifferentialTest, ContinuousAfterPeriodicFindsNothing) {
     PeriodicDetector periodic;
     periodic.RunPass(lm, costs);
     ContinuousDetector continuous;
-    for (lock::TransactionId tid : lm.BlockedTransactions()) {
+    const std::vector<lock::TransactionId> blocked = lm.BlockedTransactions();
+    for (lock::TransactionId tid : blocked) {
       ResolutionReport r = continuous.OnBlock(lm, costs, tid);
       ASSERT_EQ(r.cycles_detected, 0u);
       ASSERT_TRUE(r.aborted.empty());

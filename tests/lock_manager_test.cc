@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/rng.h"
 
 namespace twbg::lock {
@@ -117,6 +120,78 @@ TEST(LockManagerTest, KnownAndBlockedTransactionLists) {
   MustAcquire(lm, 3, 11, kS);
   EXPECT_EQ(lm.KnownTransactions(), (std::vector<TransactionId>{1, 2, 3}));
   EXPECT_EQ(lm.BlockedTransactions(), (std::vector<TransactionId>{1}));
+}
+
+// The kept blocked set: ascending, equal to {tid : blocked_on}, and
+// consistent with the table after every step.
+void ExpectBlockedSet(const LockManager& lm,
+                      const std::vector<TransactionId>& expected) {
+  EXPECT_EQ(lm.BlockedTransactions(), expected);
+  EXPECT_EQ(lm.NumBlocked(), expected.size());
+  for (TransactionId tid : lm.KnownTransactions()) {
+    EXPECT_EQ(lm.IsBlocked(tid),
+              std::binary_search(expected.begin(), expected.end(), tid))
+        << "T" << tid;
+  }
+  const Status invariants = lm.CheckInvariants();
+  EXPECT_TRUE(invariants.ok()) << invariants.ToString();
+}
+
+TEST(LockManagerTest, BlockedSetFollowsEveryWayInAndOut) {
+  LockManager lm;
+  // In: a queue block.
+  EXPECT_EQ(MustAcquire(lm, 1, 10, kX), RequestOutcome::kGranted);
+  ExpectBlockedSet(lm, {});
+  EXPECT_EQ(MustAcquire(lm, 6, 10, kX), RequestOutcome::kBlocked);
+  ExpectBlockedSet(lm, {6});
+  // In: a conversion block, inserted ahead of a higher tid.
+  MustAcquire(lm, 2, 11, kIS);
+  MustAcquire(lm, 3, 11, kIS);
+  EXPECT_EQ(MustAcquire(lm, 2, 11, kX), RequestOutcome::kBlocked);
+  ExpectBlockedSet(lm, {2, 6});
+  MustAcquire(lm, 4, 12, kX);
+  EXPECT_EQ(MustAcquire(lm, 9, 12, kX), RequestOutcome::kBlocked);
+  EXPECT_EQ(MustAcquire(lm, 8, 12, kS), RequestOutcome::kBlocked);
+  ExpectBlockedSet(lm, {2, 6, 8, 9});
+
+  // Out: a grant by ReleaseOn (T3 leaves R11, T2's conversion lands).
+  EXPECT_EQ(lm.ReleaseOn(3, 11), (std::vector<TransactionId>{2}));
+  ExpectBlockedSet(lm, {6, 8, 9});
+  lm.Forget(3);
+  ExpectBlockedSet(lm, {6, 8, 9});
+  // Out: CancelWait (T8 stays queued behind T4).
+  Result<std::vector<TransactionId>> cancelled = lm.CancelWait(9);
+  ASSERT_TRUE(cancelled.ok()) << cancelled.status().ToString();
+  EXPECT_TRUE(cancelled->empty());
+  ExpectBlockedSet(lm, {6, 8});
+  // Out: ReleaseAll of a blocked transaction (an abort).
+  EXPECT_TRUE(lm.ReleaseAll(8).empty());
+  ExpectBlockedSet(lm, {6});
+  // Out: ReleaseOn + Forget of a blocked transaction (the cross-shard
+  // abort).  Between the two the table no longer has T6 but its
+  // bookkeeping does, so only the end state is checked.
+  EXPECT_TRUE(lm.ReleaseOn(6, 10).empty());
+  lm.Forget(6);
+  ExpectBlockedSet(lm, {});
+
+  // Out: a grant by Reschedule after a TDR-2.
+  MustAcquire(lm, 17, 2, kIS);
+  MustAcquire(lm, 18, 2, kX);
+  MustAcquire(lm, 19, 2, kIX);
+  MustAcquire(lm, 13, 2, kS);
+  ExpectBlockedSet(lm, {13, 18, 19});
+  // TDR-2 leaves a grantable queue front until Step 3 reschedules, so the
+  // table invariants hold again only after Reschedule.
+  ASSERT_TRUE(lm.ApplyTdr2(2, 13).ok());
+  EXPECT_EQ(lm.BlockedTransactions(),
+            (std::vector<TransactionId>{13, 18, 19}));
+  EXPECT_EQ(lm.Reschedule(2), (std::vector<TransactionId>{19}));
+  ExpectBlockedSet(lm, {13, 18});
+  // Out: a grant by ReleaseAll of the holder.
+  EXPECT_EQ(lm.ReleaseAll(1), (std::vector<TransactionId>{}));
+  EXPECT_EQ(lm.ReleaseAll(17), (std::vector<TransactionId>{}));
+  EXPECT_EQ(lm.ReleaseAll(19), (std::vector<TransactionId>{13}));
+  ExpectBlockedSet(lm, {18});
 }
 
 TEST(LockManagerTest, InvalidTransactionIdRejected) {

@@ -17,8 +17,12 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
+#include "core/graph_builder.h"
+#include "lock/lock_manager.h"
 #include "obs/bus.h"
 #include "obs/sinks.h"
 #include "obs/span.h"
@@ -58,10 +62,19 @@ void WaitUntilBlocked(ConcurrentLockService& service,
 // a 2-cycle (T1 <-> T2 over R1/R2) and a 3-cycle (T3 -> T4 -> T5 -> T3
 // over R3/R4/R5) — runs one pass, lets every thread finish, and returns
 // the report.  Exactly two victims (one per cycle); the survivors cascade
-// to commit once their grants arrive.
+// to commit once their grants arrive.  With `bystanders`, that many
+// transactions begin first (shifting the cycle tids up) and each holds
+// two uncontended locks through the pass.
 void BuildCyclesAndRunPass(ConcurrentLockService& s,
-                           core::ResolutionReport* report,
-                           int* victims_out) {
+                           core::ResolutionReport* report, int* victims_out,
+                           int bystanders = 0) {
+  std::vector<lock::TransactionId> idle;
+  for (int b = 0; b < bystanders; ++b) {
+    idle.push_back(*s.Begin());
+    const auto rid = static_cast<lock::ResourceId>(100 + 2 * b);
+    ASSERT_TRUE(s.AcquireBlocking(idle.back(), rid, kX).ok());
+    ASSERT_TRUE(s.AcquireBlocking(idle.back(), rid + 1, kS).ok());
+  }
   const lock::TransactionId t1 = *s.Begin();
   const lock::TransactionId t2 = *s.Begin();
   const lock::TransactionId t3 = *s.Begin();
@@ -97,6 +110,7 @@ void BuildCyclesAndRunPass(ConcurrentLockService& s,
   *report = s.RunDetectionPass();
   for (std::thread& thread : threads) thread.join();
   *victims_out = victims.load();
+  for (lock::TransactionId t : idle) ASSERT_TRUE(s.Commit(t).ok());
 }
 
 ConcurrentServiceOptions QuiescedOptions(SnapshotStrategy strategy) {
@@ -164,6 +178,243 @@ TEST(PauselessServiceTest, QuiescedReportParityAcrossEngines) {
   EXPECT_EQ(pauseless_report.ToString(), stw_report.ToString());
   EXPECT_EQ(StripCacheLines(pauseless_report.ToString()),
             StripCacheLines(seq_report.ToString()));
+}
+
+// A pauseless pass walks the mirrors, which hold the waiter-bearing
+// resources only, so a transaction whose every lock is uncontended is not
+// in its TST.  Everything the pass decides and does is the same as the
+// stop-the-world pass over the whole table; only n and the walk's steps
+// are lower, by exactly one per such bystander (a vertex with no edges
+// costs the walk one step).
+TEST(PauselessServiceTest, BystandersLeaveDecisionsUnchanged) {
+  constexpr int kBystanders = 2;
+  auto run = [](SnapshotStrategy strategy, core::ResolutionReport* report) {
+    ConcurrentServiceOptions options = QuiescedOptions(strategy);
+    options.detector.collect_post_mortems = true;
+    auto service = ConcurrentLockService::Create(options);
+    ASSERT_TRUE(service.ok()) << service.status().ToString();
+    int victims = 0;
+    BuildCyclesAndRunPass(**service, report, &victims, kBystanders);
+    EXPECT_EQ(victims, 2);
+    EXPECT_TRUE((*service)->CheckInvariants(/*deep=*/true).ok());
+  };
+  core::ResolutionReport pauseless;
+  core::ResolutionReport stw;
+  run(SnapshotStrategy::kEpochDelta, &pauseless);
+  run(SnapshotStrategy::kStopTheWorld, &stw);
+
+  EXPECT_EQ(pauseless.cycles_detected, 2u);
+  EXPECT_EQ(pauseless.cycles_detected, stw.cycles_detected);
+  ASSERT_EQ(pauseless.decisions.size(), stw.decisions.size());
+  for (size_t i = 0; i < stw.decisions.size(); ++i) {
+    EXPECT_EQ(pauseless.decisions[i].ToString(), stw.decisions[i].ToString());
+  }
+  EXPECT_EQ(pauseless.aborted, stw.aborted);
+  EXPECT_EQ(pauseless.spared, stw.spared);
+  EXPECT_EQ(pauseless.granted, stw.granted);
+  EXPECT_EQ(pauseless.repositioned, stw.repositioned);
+  ASSERT_EQ(stw.post_mortems.size(), 2u);
+  ASSERT_EQ(pauseless.post_mortems.size(), stw.post_mortems.size());
+  for (size_t i = 0; i < stw.post_mortems.size(); ++i) {
+    EXPECT_EQ(pauseless.post_mortems[i].ToString(),
+              stw.post_mortems[i].ToString());
+  }
+  EXPECT_EQ(pauseless.num_edges, stw.num_edges);
+  EXPECT_EQ(stw.num_transactions, 5u + kBystanders);
+  EXPECT_EQ(stw.num_transactions - pauseless.num_transactions, kBystanders);
+  EXPECT_EQ(stw.steps - pauseless.steps, kBystanders);
+}
+
+// Ascending rids of `table`'s waiter-bearing resources.
+std::vector<lock::ResourceId> WaiterBearingRids(const lock::LockTable& table) {
+  std::vector<lock::ResourceId> rids;
+  for (const auto& [rid, state] : table) {
+    if (state.HasWaiter()) rids.push_back(rid);
+  }
+  return rids;
+}
+
+// The mirror contract after a Fold: the mirror's resources are exactly
+// the live waiter-bearing ones, stamp for stamp; its wait records are
+// exactly the live blocked transactions' (tids 1..max_tid are checked);
+// and Step 1 draws the same edges from it as from the live table.
+void ExpectMirrorIsLiveWaiterState(const ShardSnapshot& snapshot,
+                                   const lock::LockManager& live,
+                                   lock::TransactionId max_tid,
+                                   core::GraphBuilder& mirror_edges,
+                                   core::GraphBuilder& live_edges) {
+  std::vector<lock::ResourceId> mirrored;
+  for (const auto& [rid, state] : snapshot.table()) {
+    mirrored.push_back(rid);
+    const lock::ResourceState* theirs = live.table().Find(rid);
+    ASSERT_NE(theirs, nullptr) << "R" << rid;
+    EXPECT_EQ(state.version(), theirs->version()) << "R" << rid;
+    EXPECT_EQ(state.ToString(), theirs->ToString());
+  }
+  ASSERT_EQ(mirrored, WaiterBearingRids(live.table()));
+
+  size_t records = 0;
+  for (lock::TransactionId tid = 1; tid <= max_tid; ++tid) {
+    const lock::TxnLockInfo* mine = snapshot.FindWaitInfo(tid);
+    if (!live.IsBlocked(tid)) {
+      EXPECT_EQ(mine, nullptr) << "T" << tid;
+      continue;
+    }
+    ++records;
+    ASSERT_NE(mine, nullptr) << "T" << tid;
+    const lock::TxnLockInfo& theirs = *live.Info(tid);
+    EXPECT_EQ(mine->blocked_on, theirs.blocked_on);
+    EXPECT_EQ(mine->blocked_mode, theirs.blocked_mode);
+    EXPECT_EQ(mine->wait_span, theirs.wait_span);
+    EXPECT_EQ(mine->wait_started, theirs.wait_started);
+  }
+  EXPECT_EQ(records, live.NumBlocked());
+
+  mirror_edges.Refresh(snapshot.table());
+  live_edges.Refresh(live.table());
+  EXPECT_TRUE(mirror_edges.edge_lists() == live_edges.edge_lists());
+}
+
+// Random single-shard schedules over all five modes — conversions,
+// deadline cancels, whole and per-resource (cross-shard style) aborts,
+// Step 3 TDR-2 + Reschedule on the live table, and walk-side TDR-2s on
+// the mirror that the validated apply rejects — with Capture+Fold at
+// random points, the mirror contract checked after every Fold.  One
+// schedule outruns the journal so the full-sweep capture runs too.
+TEST(ShardSnapshotTest, MirrorIsTheLiveWaiterStateAfterEveryFold) {
+  constexpr lock::TransactionId kTxns = 8;
+  constexpr lock::ResourceId kRids = 6;
+  common::Rng rng(20261018);
+  size_t folds = 0;
+  size_t full_sweeps = 0;
+  size_t conversions = 0;
+  size_t cancels = 0;
+  size_t forgets = 0;
+  size_t live_tdr2s = 0;
+  size_t mirror_tdr2s = 0;
+  for (int schedule = 0; schedule < 1000; ++schedule) {
+    lock::LockManager lm;
+    ShardSnapshot snapshot;
+    core::GraphBuilder mirror_edges;
+    core::GraphBuilder live_edges;
+    auto publish = [&] {
+      const ShardCaptureStats stats = snapshot.Capture(lm);
+      full_sweeps += stats.full_sweep ? 1 : 0;
+      snapshot.Fold();
+      ++folds;
+      ExpectMirrorIsLiveWaiterState(snapshot, lm, kTxns + 5, mirror_edges,
+                                    live_edges);
+      return stats;
+    };
+    // The first (rid, junction) at which `table` admits a TDR-2, scanning
+    // resources from `start`; junction 0 when there is none.
+    auto tdr2_at = [&](const lock::LockTable& table, lock::ResourceId start) {
+      for (lock::ResourceId k = 0; k < kRids; ++k) {
+        const lock::ResourceId rid = 1 + (start - 1 + k) % kRids;
+        const lock::ResourceState* state = table.Find(rid);
+        if (state == nullptr) continue;
+        for (const lock::QueueEntry& q : state->queue()) {
+          if (state->ComputeAvSt(q.tid).ok()) return std::pair(rid, q.tid);
+        }
+      }
+      return std::pair(lock::ResourceId{0}, lock::kInvalidTransaction);
+    };
+    const int ops = 60 + static_cast<int>(rng.NextBelow(60));
+    for (int op = 0; op < ops; ++op) {
+      if (schedule == 0 && op == ops / 2) {
+        // A mirrored resource that will lose its waiter (`lost`) and one
+        // that will gain one (`fresh`) while the journal is outrun:
+        // entries on alternating resources do not coalesce, so the
+        // capture must sweep, and the sweep must erase `lost` and copy
+        // `fresh`.
+        const lock::ResourceId lost = kRids + 5;
+        const lock::ResourceId fresh = kRids + 6;
+        ASSERT_TRUE(lm.Acquire(kTxns + 2, lost, kX).ok());
+        ASSERT_TRUE(lm.Acquire(kTxns + 3, lost, kX).ok());  // blocks
+        EXPECT_FALSE(publish().full_sweep);
+        ASSERT_NE(snapshot.table().Find(lost), nullptr);
+        for (int i = 0; i < 70000; ++i) {
+          const lock::ResourceId rid = kRids + 1 + i % 4;
+          ASSERT_TRUE(lm.Acquire(kTxns + 1, rid, kX).ok());
+          lm.ReleaseAll(kTxns + 1);
+        }
+        EXPECT_EQ(lm.ReleaseAll(kTxns + 2),
+                  (std::vector<lock::TransactionId>{kTxns + 3}));
+        ASSERT_TRUE(lm.Acquire(kTxns + 4, fresh, kS).ok());
+        ASSERT_TRUE(lm.Acquire(kTxns + 5, fresh, kX).ok());  // blocks
+        EXPECT_TRUE(publish().full_sweep);
+        EXPECT_EQ(snapshot.table().Find(lost), nullptr);
+        EXPECT_NE(snapshot.table().Find(fresh), nullptr);
+        if (HasFatalFailure()) return;
+        lm.ReleaseAll(kTxns + 3);
+        lm.ReleaseAll(kTxns + 4);
+        lm.ReleaseAll(kTxns + 5);
+        continue;
+      }
+      const auto tid = static_cast<lock::TransactionId>(
+          1 + rng.NextBelow(kTxns));
+      const auto rid = static_cast<lock::ResourceId>(1 + rng.NextBelow(kRids));
+      const uint64_t dice = rng.NextBelow(100);
+      if (dice < 55) {
+        const lock::ResourceState* state = lm.table().Find(rid);
+        conversions += state != nullptr && state->FindHolder(tid) != nullptr;
+        (void)lm.Acquire(tid, rid, lock::kRealModes[rng.NextBelow(5)]);
+      } else if (dice < 62) {
+        if (lm.NumBlocked() == 0) continue;
+        const std::vector<lock::TransactionId>& blocked =
+            lm.BlockedTransactions();
+        const lock::TransactionId waiter =
+            blocked[rng.NextBelow(blocked.size())];
+        ASSERT_TRUE(lm.CancelWait(waiter).ok());
+        ++cancels;
+      } else if (dice < 70) {
+        lm.ReleaseAll(tid);
+      } else if (dice < 76) {
+        // The service's cross-shard abort: per-resource releases, then
+        // the bookkeeping goes.
+        const lock::TxnLockInfo* info = lm.Info(tid);
+        if (info == nullptr) continue;
+        const std::vector<lock::ResourceId> touched(info->touched.begin(),
+                                                    info->touched.end());
+        for (lock::ResourceId r : touched) (void)lm.ReleaseOn(tid, r);
+        lm.Forget(tid);
+        ++forgets;
+      } else if (dice < 82) {
+        // A validated TDR-2 and its Step 3 reschedule.
+        const auto [at, junction] = tdr2_at(lm.table(), rid);
+        if (junction == lock::kInvalidTransaction) continue;
+        ASSERT_TRUE(lm.ApplyTdr2(at, junction).ok());
+        (void)lm.Reschedule(at);
+        ++live_tdr2s;
+      } else if (dice < 88) {
+        // A walk-side TDR-2 on the mirror whose apply is rejected: the
+        // live shard never sees it.
+        const auto [at, junction] = tdr2_at(snapshot.table(), rid);
+        if (junction == lock::kInvalidTransaction) continue;
+        ASSERT_TRUE(snapshot.mutable_table()
+                        .FindMutableDeferred(at)
+                        ->ApplyTdr2(junction)
+                        .ok());
+        snapshot.mutable_table().NoteMutation(at);
+        ++mirror_tdr2s;
+      } else {
+        publish();
+      }
+      const Status invariants = lm.CheckInvariants();
+      ASSERT_TRUE(invariants.ok()) << invariants.ToString();
+      if (HasFatalFailure()) return;
+    }
+    publish();
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_EQ(full_sweeps, 1u);
+  // Every path of the schedule generator ran.
+  EXPECT_GT(folds, 10000u);
+  EXPECT_GT(conversions, 1000u);
+  EXPECT_GT(cancels, 100u);
+  EXPECT_GT(forgets, 100u);
+  EXPECT_GT(live_tdr2s, 100u);
+  EXPECT_GT(mirror_tdr2s, 100u);
 }
 
 // A bystander queued on a cycle resource aborts inside the seal-to-apply
