@@ -29,7 +29,7 @@ ResolutionReport ContinuousDetector::OnBlock(lock::LockManager& manager,
       tracing ? tracer->Open(obs::SpanKind::kStep1, 0, pass_span) : 0;
 
   // A scoped build is already proportional to the blocked transaction's
-  // wait neighbourhood; the incremental cache serves the full-table path.
+  // wait neighbourhood; the incremental Step 1 serves the full-table path.
   Tst scratch;
   Tst* tst;
   if (options_.scoped_continuous_build) {

@@ -18,14 +18,14 @@
 #include "core/cost_table.h"
 #include "core/detection_engine.h"
 #include "core/detector.h"
-#include "core/graph_builder.h"
+#include "core/tst_builder.h"
 #include "lock/lock_manager.h"
 
 namespace twbg::core {
 
 /// Detection-on-block.  Options semantics match PeriodicDetector; the
 /// full-table build path (scoped_continuous_build off) goes through the
-/// incremental graph cache when incremental_build is on.
+/// incremental Step 1 (core::TstBuilder) when incremental_build is on.
 class ContinuousDetector {
  public:
   explicit ContinuousDetector(DetectorOptions options = {})
@@ -40,7 +40,7 @@ class ContinuousDetector {
 
  private:
   DetectorOptions options_;
-  GraphBuilder builder_;
+  TstBuilder builder_;
 };
 
 }  // namespace twbg::core

@@ -14,8 +14,8 @@ namespace twbg::core {
 namespace {
 
 // Resolves the cycle closed by the edge v -> w (w has a non-zero ancestor,
-// i.e. lies on the active walk path).  v and w are dense indices into
-// `tst`.  Implements the paper's victim-selection: backtrack from v to w
+// i.e. lies on the active walk path).  v and w are slots of `tst`.
+// Implements the paper's victim-selection: backtrack from v to w
 // recovering the cycle, enumerate TDR candidates, apply the cheapest,
 // clear the backtracked ancestors (except w's).
 //
@@ -23,7 +23,7 @@ namespace {
 // a cycle of any consistent TWBG.  On a consistent table that cannot
 // happen (Lemmata 3 and 4.1); it happens only when the walk runs over an
 // epoch snapshot whose shards were captured at slightly different times
-// (see ShardedTstBuilder::RefreshTst).  The caller skips the closing edge
+// (see core/tst_builder.h).  The caller skips the closing edge
 // — whatever real deadlock hides behind the skew is re-derived from a
 // fresh capture next pass, mirroring how the pauseless apply phase drops
 // stale decisions.
@@ -204,16 +204,14 @@ WalkOutcome RunWalk(Tst& tst, const std::vector<lock::TransactionId>& roots,
   WalkOutcome outcome;
   // The periodic pass passes Transactions() verbatim, so the cursor makes
   // every root lookup O(1); out-of-order roots fall back to binary search.
+  const std::vector<lock::TransactionId>& order = tst.Transactions();
   size_t cursor = 0;
   for (lock::TransactionId root : roots) {
-    size_t r;
-    if (cursor < tst.size() && tst.TidAt(cursor) == root) {
-      r = cursor++;
-    } else {
-      r = tst.IndexOf(root);
-      if (r >= tst.size()) continue;
-      cursor = r + 1;
+    if (cursor >= order.size() || order[cursor] != root) {
+      cursor = SortedIndexOf(order, root);
+      if (cursor == order.size()) continue;
     }
+    const size_t r = tst.RootSlot(cursor++);
     tst.EntryAt(r).ancestor = TstEntry::kRoot;
     int64_t v = static_cast<int64_t>(r);
     while (v != TstEntry::kRoot) {
@@ -233,7 +231,7 @@ WalkOutcome RunWalk(Tst& tst, const std::vector<lock::TransactionId>& roots,
       }
       const size_t t =
           tst.EdgeTargetIndex(static_cast<size_t>(v), entry.current);
-      TWBG_CHECK(t < tst.size());
+      TWBG_CHECK(t < tst.num_slots());
       TstEntry& next = tst.EntryAt(t);
       if (next.CurrentIsNil()) {
         ++entry.current;  // skip: finished or victim vertex

@@ -7,16 +7,18 @@
 // resources instead of the whole table; concatenating the cached
 // per-resource vectors in ascending rid order reproduces BuildEcrEdges
 // byte-for-byte (the differential test in tests/incremental_build_test.cc
-// proves it).  Only resources with at least one edge keep a vector, in an
-// rid-ordered index of their own, so assembly visits those and skips the
-// (usually far more numerous) resources whose ECR output is empty.  See
-// docs/PERFORMANCE.md for the invalidation contract.
+// proves it).  See docs/PERFORMANCE.md for the invalidation contract.
 //
 // Each observer (detector instance) owns its own GraphBuilder; the lock
 // table's journal is a shared read-only log, so any number of builders can
 // track one table independently.  A builder pointed at a different table
 // (or a copy — copies get a fresh uid) falls back to a version-compare
 // sweep that still reuses every unchanged resource's cached edges.
+//
+// Every refresh also logs what it changed — each rebuilt or dropped
+// resource with its old and new edges, and the transactions that joined
+// or left the builder's vertex set — which is all core::TstBuilder needs
+// to patch its persistent TST instead of re-assembling it.
 
 #ifndef TWBG_CORE_GRAPH_BUILDER_H_
 #define TWBG_CORE_GRAPH_BUILDER_H_
@@ -26,7 +28,6 @@
 #include <vector>
 
 #include "common/flat_map.h"
-#include "core/tst.h"
 #include "core/twbg.h"
 #include "lock/lock_table.h"
 
@@ -48,39 +49,49 @@ struct GraphCacheStats {
   bool full_sweep = false;
 };
 
-/// Incremental builder of the detection pass's graph structures.  Not
-/// thread-safe itself; the sharded pass gives each shard its own builder
-/// (refreshed concurrently against disjoint tables) and merges the
-/// per-shard caches serially (core::ShardedTstBuilder).
+/// Incremental per-resource edge cache of one lock table.  Not
+/// thread-safe itself; core::TstBuilder gives each table its own builder
+/// (refreshed concurrently against disjoint tables) and applies their
+/// change logs to one TST serially.
 class GraphBuilder {
  public:
-  /// Refreshes the cache against `table` and reassembles the persistent
-  /// TST (W edges with sentinels + H edges, walk state reset).  The
-  /// returned reference stays valid until the next Refresh/Build call and
-  /// is identical to Tst::Build(table) in content and walk behaviour.
-  Tst& RefreshTst(const lock::LockTable& table);
+  /// One resource whose cached edges a refresh rebuilt or dropped: its
+  /// edges before the refresh are retired_edges()[old_begin, old_end),
+  /// and after it fresh_edges()[new_begin, new_end) (empty when dropped
+  /// or edge-free).
+  struct ResourceChange {
+    lock::ResourceId rid = 0;
+    size_t old_begin = 0;
+    size_t old_end = 0;
+    size_t new_begin = 0;
+    size_t new_end = 0;
+  };
 
   /// Refreshes the cache and assembles an H/W-TWBG snapshot (no sentinel
   /// edges) — identical to HwTwbg::Build(table).
   HwTwbg BuildGraph(const lock::LockTable& table);
 
   /// Brings the cache, edge lists and vertex set up to date with `table`
-  /// (journal fast path or full version-compare sweep) WITHOUT assembling
-  /// a TST — the per-shard half of the sharded Step 1, whose assembly is a
-  /// k-way merge across shards (core::ShardedTstBuilder).
+  /// (journal fast path or full version-compare sweep) and logs what
+  /// changed.
   void Refresh(const lock::LockTable& table);
 
   /// ECR 1-3 output (sentinels included) of every cached resource that
-  /// has at least one edge, in ascending rid order, valid after Refresh.
-  /// Concatenated in order it is the table's whole edge list.
-  const std::map<lock::ResourceId, std::vector<TwbgEdge>>& edge_lists()
-      const {
-    return edge_lists_;
-  }
+  /// has at least one edge, by rid; concatenated in order it is the
+  /// table's whole edge list.  Built on each call (O(cached resources)).
+  std::map<lock::ResourceId, std::vector<TwbgEdge>> edge_lists() const;
 
-  /// Vertex set (ascending, duplicate-free) of the cached resources, valid
-  /// after Refresh.
-  const std::vector<lock::TransactionId>& txns() const { return txns_; }
+  /// Change log of the most recent Refresh, valid until the next one.
+  /// Every resource the refresh rebuilt or dropped that had or has edges
+  /// appears once, with its edges before and after in these two buffers.
+  const std::vector<ResourceChange>& changes() const { return changes_; }
+  const std::vector<TwbgEdge>& retired_edges() const { return retired_; }
+  const std::vector<TwbgEdge>& fresh_edges() const { return fresh_; }
+  /// The transactions that entered the vertex set (the participants of
+  /// the cached resources) and that left it during the refresh.  One
+  /// transaction can both leave and join in one refresh, in either order.
+  const std::vector<lock::TransactionId>& joined() const { return joined_; }
+  const std::vector<lock::TransactionId>& left() const { return left_; }
 
   /// Statistics of the most recent refresh.
   const GraphCacheStats& stats() const { return stats_; }
@@ -92,38 +103,32 @@ class GraphBuilder {
     uint64_t version = 0;
     // Transactions appearing on the resource (holders, then queue).
     std::vector<lock::TransactionId> txns;
+    // ECR 1-3 output, sentinels included.
+    std::vector<TwbgEdge> edges;
   };
 
   void Rebuild(const lock::ResourceState& state, ResourceCache& entry);
   void Drop(lock::ResourceId rid, ResourceCache& entry);
-  // Removes `rid`'s edge list, if any, from edge_lists_.
-  void DropEdges(lock::ResourceId rid);
-  // Refcount maintenance for the vertex set; keeps txns_ current.
-  void RetainTxns(const std::vector<lock::TransactionId>& txns);
-  void ReleaseTxns(const std::vector<lock::TransactionId>& txns);
+  // Refcount maintenance for the vertex set; logs joins and leaves.
+  void Retain(lock::TransactionId tid);
+  void Release(lock::TransactionId tid);
 
-  // Unordered: only edge_lists_ needs rid order.
   common::FlatMap<lock::ResourceId, ResourceCache> cache_;
-  // The edge-bearing subset of cache_'s resources and their edges, in
-  // ascending rid order.  Held by value, so copies and moves of the
-  // builder carry a valid index.
-  std::map<lock::ResourceId, std::vector<TwbgEdge>> edge_lists_;
   uint64_t table_uid_ = 0;
   uint64_t synced_seq_ = 0;
   size_t total_edges_ = 0;
   // tid -> number of cached resources it appears on.  The key set is the
-  // graph's vertex set; txns_ mirrors it sorted, updated by insertion and
-  // erasure only when a tid joins or leaves it.
+  // graph's vertex set.
   common::FlatMap<lock::TransactionId, uint32_t> txn_refs_;
-  std::vector<lock::TransactionId> txns_;
   // The participants a Rebuild is about to cache (swapped into the entry).
   std::vector<lock::TransactionId> txn_scratch_;
-  std::vector<TwbgEdge> edge_scratch_;
-  // One resource's fresh ECR output; swapped into edge_lists_, so it
-  // keeps the replaced list's capacity for the next rebuild.
-  std::vector<TwbgEdge> rebuild_scratch_;
   std::vector<lock::ResourceId> dirty_scratch_;
-  Tst tst_;
+  // Change log of the last refresh (see changes()).
+  std::vector<ResourceChange> changes_;
+  std::vector<TwbgEdge> retired_;
+  std::vector<TwbgEdge> fresh_;
+  std::vector<lock::TransactionId> joined_;
+  std::vector<lock::TransactionId> left_;
   GraphCacheStats stats_;
 };
 

@@ -2,8 +2,6 @@
 
 #include "core/parallel_detector.h"
 
-#include <algorithm>
-#include <iterator>
 #include <utility>
 
 #include "common/macros.h"
@@ -49,94 +47,6 @@ class ManagerParallelHost final : public ParallelWalkHost {
 
 }  // namespace
 
-Tst& ShardedTstBuilder::RefreshTst(
-    const std::vector<const lock::LockTable*>& tables,
-    common::ThreadPool* pool) {
-  builders_.resize(tables.size());
-  auto refresh = [&](size_t shard) { builders_[shard].Refresh(*tables[shard]); };
-  if (pool != nullptr) {
-    pool->ParallelFor(tables.size(), refresh);
-  } else {
-    for (size_t shard = 0; shard < tables.size(); ++shard) refresh(shard);
-  }
-
-  stats_ = {};
-  for (const GraphBuilder& builder : builders_) {
-    const GraphCacheStats& s = builder.stats();
-    stats_.num_dirty_resources += s.num_dirty_resources;
-    stats_.num_cached_resources += s.num_cached_resources;
-    stats_.edges_rebuilt += s.edges_rebuilt;
-    stats_.edges_reused += s.edges_reused;
-    stats_.full_sweep = stats_.full_sweep || s.full_sweep;
-  }
-
-  // Vertex set: the union of the shards' ascending vertex sets.
-  txn_scratch_.clear();
-  for (const GraphBuilder& builder : builders_) {
-    merge_scratch_.clear();
-    std::set_union(txn_scratch_.begin(), txn_scratch_.end(),
-                   builder.txns().begin(), builder.txns().end(),
-                   std::back_inserter(merge_scratch_));
-    txn_scratch_.swap(merge_scratch_);
-  }
-
-  // K-way merge of the per-shard edge lists by ascending rid (shards hold
-  // disjoint rid sets, so this is the global rid order — the same
-  // concatenation order a single-table build would use).
-  edge_scratch_.clear();
-  using ListIter =
-      std::map<lock::ResourceId, std::vector<TwbgEdge>>::const_iterator;
-  std::vector<std::pair<ListIter, ListIter>> fronts;
-  fronts.reserve(builders_.size());
-  for (const GraphBuilder& builder : builders_) {
-    fronts.emplace_back(builder.edge_lists().begin(),
-                        builder.edge_lists().end());
-  }
-  for (;;) {
-    size_t best = fronts.size();
-    for (size_t i = 0; i < fronts.size(); ++i) {
-      if (fronts[i].first == fronts[i].second) continue;
-      if (best == fronts.size() ||
-          fronts[i].first->first < fronts[best].first->first) {
-        best = i;
-      }
-    }
-    if (best == fronts.size()) break;
-    const std::vector<TwbgEdge>& edges = fronts[best].first->second;
-    edge_scratch_.insert(edge_scratch_.end(), edges.begin(), edges.end());
-    ++fronts[best].first;
-  }
-
-  // Per-shard mirrors are captured one shard at a time, so a transaction
-  // granted on one shard and re-blocked on another between captures can
-  // appear waiting in two mirrors at once — two W edges for one vertex,
-  // which a consistent table can never produce (Axiom 1) and which
-  // Tst::Assemble rejects.  Keep the first W edge in global rid order
-  // (deterministic) and drop the rest: the walk runs on a self-consistent
-  // TST, and any resolution decided on the stale wait is rejected by the
-  // version-validated apply and retried next pass.
-  if (builders_.size() > 1) {
-    w_seen_.assign(txn_scratch_.size(), 0);
-    size_t kept = 0;
-    for (size_t j = 0; j < edge_scratch_.size(); ++j) {
-      const TwbgEdge& e = edge_scratch_[j];
-      if (e.IsW()) {
-        const size_t v = SortedIndexOf(txn_scratch_, e.from);
-        TWBG_DCHECK(v < w_seen_.size());  // a queue member is a vertex
-        if (w_seen_[v] != 0) continue;
-        w_seen_[v] = 1;
-      }
-      edge_scratch_[kept++] = e;
-    }
-    edge_scratch_.resize(kept);
-  }
-
-  // The union is sorted, duplicate-free and holds every edge source (a
-  // source sits on a resource of its shard): the presorted assembly path.
-  tst_.Assemble(edge_scratch_, txn_scratch_);
-  return tst_;
-}
-
 ResolutionReport ParallelPeriodicDetector::RunPass(
     lock::LockManager& manager, CostTable& costs) {
   ManagerParallelHost walk_host(manager);
@@ -170,11 +80,11 @@ ParallelPeriodicDetector::DetectOutcome ParallelPeriodicDetector::RunDetect(
     bus->Emit(start);
   }
 
-  // Step 1: per-shard cache refresh + k-way merge.  A non-incremental
-  // pass uses a throwaway builder (full rebuild every time) and reports
-  // no cache statistics, matching the sequential from-scratch build.
-  ShardedTstBuilder scratch_builder;
-  ShardedTstBuilder& builder =
+  // Step 1: per-shard cache refresh + TST patch.  A non-incremental pass
+  // uses a throwaway builder (full rebuild every time) and reports no
+  // cache statistics, matching the sequential from-scratch build.
+  TstBuilder scratch_builder;
+  TstBuilder& builder =
       options_.incremental_build ? builder_ : scratch_builder;
   Tst& tst = builder.RefreshTst(tables, pool_);
   DetectOutcome outcome;
@@ -194,7 +104,7 @@ ParallelPeriodicDetector::DetectOutcome ParallelPeriodicDetector::RunDetect(
     bus->Emit(step1);
   }
 
-  // Step 2: component-parallel walk.
+  // Step 2: component-parallel walk (the plain walk without a pool).
   outcome.walk = RunWalkComponentParallel(
       tst, walk_host, costs, walk_options, pool_, &last_num_components_);
   if (observing) {

@@ -5,10 +5,11 @@
 //
 //   Step 1  every shard's incremental GraphBuilder refreshes its own ECR
 //           edge cache concurrently (shards own disjoint resources), then
-//           the per-shard edge lists are k-way merged by ascending rid
-//           into one flat TST — byte-identical to a single-table build of
-//           the union state, since cache concatenation order is rid order.
-//   Step 2  the component-parallel walk of core/parallel_engine.h.
+//           the one persistent TST is patched serially with what changed
+//           (core::TstBuilder) — identical to a single-table build of the
+//           union state.
+//   Step 2  the component-parallel walk of core/parallel_engine.h with a
+//           pool, the plain walk without one.
 //   Step 3  the standard abortion-list / change-list reconciliation,
 //           routed through a ResolutionHost.
 //
@@ -28,36 +29,10 @@
 
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
-#include "core/graph_builder.h"
 #include "core/parallel_engine.h"
+#include "core/tst_builder.h"
 
 namespace twbg::core {
-
-/// Step 1 over N shard tables: one GraphBuilder per shard, refreshed in
-/// parallel, assembled serially by a k-way rid merge.  With one table
-/// this reduces to GraphBuilder::RefreshTst exactly.
-class ShardedTstBuilder {
- public:
-  /// Refreshes every shard's cache (over `pool` when non-null; tables are
-  /// disjoint so the refreshes share nothing) and assembles the unified
-  /// TST.  The reference stays valid until the next call.
-  Tst& RefreshTst(const std::vector<const lock::LockTable*>& tables,
-                  common::ThreadPool* pool);
-
-  /// Refresh statistics aggregated (summed) across shards.
-  const GraphCacheStats& stats() const { return stats_; }
-
- private:
-  std::vector<GraphBuilder> builders_;  // one per shard, index-stable
-  std::vector<TwbgEdge> edge_scratch_;
-  std::vector<lock::TransactionId> txn_scratch_;
-  std::vector<lock::TransactionId> merge_scratch_;
-  // Scratch for the cross-shard capture-skew W-edge dedup (see
-  // RefreshTst): one "W edge kept" flag per vertex of txn_scratch_.
-  std::vector<uint8_t> w_seen_;
-  Tst tst_;
-  GraphCacheStats stats_;
-};
 
 /// What the sharded pass needs from its owner (txn::ConcurrentLockService
 /// over its shard set): the shard tables for Step 1, the parallel-walk
@@ -117,7 +92,8 @@ class ParallelPeriodicDetector {
 
   const DetectorOptions& options() const { return options_; }
 
-  /// Weakly-connected components of the most recent pass's TST.
+  /// Weakly-connected components of the most recent pass's TST; 0 when
+  /// the pass ran without a pool (its walk is not partitioned).
   size_t last_num_components() const { return last_num_components_; }
 
  private:
@@ -128,7 +104,7 @@ class ParallelPeriodicDetector {
 
   DetectorOptions options_;
   common::ThreadPool* pool_;
-  ShardedTstBuilder builder_;
+  TstBuilder builder_;
   size_t last_num_components_ = 0;
 };
 

@@ -26,13 +26,16 @@ void Unite(std::vector<size_t>& parent, size_t a, size_t b) {
   if (a != b) parent[std::max(a, b)] = std::min(a, b);
 }
 
-// WalkHost a single component's walk runs against: reads go straight to
-// the parallel host; the TDR-2 mutation is applied directly (journal
-// deferred) and its kUprReposition recorded on the component-local bus.
-class ComponentWalkHost final : public WalkHost {
+// WalkHost a walk over a ParallelWalkHost runs against: reads go straight
+// to the parallel host; the TDR-2 mutation is applied directly, journaled
+// at once when `journal` is set (the direct walk) and otherwise by the
+// merge, and its kUprReposition emitted on `bus` (a component's local bus
+// on the pooled walk).
+class ForwardingWalkHost final : public WalkHost {
  public:
-  ComponentWalkHost(ParallelWalkHost& parent, obs::EventBus* local_bus)
-      : parent_(parent), local_bus_(local_bus) {}
+  ForwardingWalkHost(ParallelWalkHost& parent, obs::EventBus* bus,
+                     bool journal)
+      : parent_(parent), bus_(bus), journal_(journal) {}
 
   const lock::ResourceState* FindResource(
       lock::ResourceId rid) const override {
@@ -45,20 +48,23 @@ class ComponentWalkHost final : public WalkHost {
   Status ApplyTdr2(lock::ResourceId rid,
                    lock::TransactionId junction) override {
     Status status = parent_.ApplyTdr2Direct(rid, junction);
-    if (status.ok() && obs::Enabled(local_bus_)) {
+    if (!status.ok()) return status;
+    if (journal_) parent_.NoteTdr2Applied(rid);
+    if (obs::Enabled(bus_)) {
       // Same shape LockManager::ApplyTdr2 emits on the sequential pass.
       obs::Event event;
       event.kind = obs::EventKind::kUprReposition;
       event.tid = junction;
       event.rid = rid;
-      local_bus_->Emit(event);
+      bus_->Emit(event);
     }
     return status;
   }
 
  private:
   ParallelWalkHost& parent_;
-  obs::EventBus* local_bus_;
+  obs::EventBus* bus_;
+  bool journal_;
 };
 
 // Everything one component's walk produced, recorded privately so the
@@ -75,30 +81,31 @@ struct ComponentRun {
 }  // namespace
 
 TstPartition PartitionTst(const Tst& tst) {
-  const size_t n = tst.size();
+  const size_t slots = tst.num_slots();
   TstPartition partition;
-  std::vector<size_t> parent(n);
-  for (size_t v = 0; v < n; ++v) parent[v] = v;
-  for (size_t v = 0; v < n; ++v) {
+  std::vector<size_t> parent(slots);
+  for (size_t v = 0; v < slots; ++v) parent[v] = v;
+  for (size_t i = 0; i < tst.size(); ++i) {
+    const size_t v = tst.RootSlot(i);
     const size_t degree = tst.EntryAt(v).waited.size();
     for (size_t offset = 0; offset < degree; ++offset) {
       const size_t t = tst.EdgeTargetIndex(v, offset);
-      if (t == Tst::kNoVertex || t >= n) continue;  // sentinel / unknown
+      if (t == Tst::kNoVertex) continue;  // sentinel / unknown
       Unite(parent, v, t);
     }
   }
-  partition.component_of.resize(n);
-  for (size_t v = 0; v < n; ++v) {
-    const size_t root = Find(parent, v);
-    if (root == v) {
-      // First (smallest) member: ascending v assigns component indices in
-      // component-root order.
-      partition.component_of[v] = partition.components.size();
+  // Ascending tid order: a component's index is taken by its smallest
+  // tid and recorded at its union-find root for the later members.
+  partition.component_of.assign(slots, Tst::kNoVertex);
+  for (size_t i = 0; i < tst.size(); ++i) {
+    const size_t v = tst.RootSlot(i);
+    size_t& component = partition.component_of[Find(parent, v)];
+    if (component == Tst::kNoVertex) {
+      component = partition.components.size();
       partition.components.emplace_back();
-    } else {
-      partition.component_of[v] = partition.component_of[root];
     }
-    partition.components[partition.component_of[v]].push_back(v);
+    partition.component_of[v] = component;
+    partition.components[component].push_back(v);
   }
   return partition;
 }
@@ -108,6 +115,11 @@ WalkOutcome RunWalkComponentParallel(Tst& tst, ParallelWalkHost& host,
                                      const DetectorOptions& options,
                                      common::ThreadPool* pool,
                                      size_t* num_components) {
+  if (pool == nullptr) {
+    if (num_components != nullptr) *num_components = 0;
+    ForwardingWalkHost direct(host, options.event_bus, /*journal=*/true);
+    return RunWalk(tst, tst.Transactions(), direct, costs, options);
+  }
   const TstPartition partition = PartitionTst(tst);
   const size_t n_comp = partition.components.size();
   if (num_components != nullptr) *num_components = n_comp;
@@ -127,11 +139,12 @@ WalkOutcome RunWalkComponentParallel(Tst& tst, ParallelWalkHost& host,
       local.event_bus = &run.bus;
     }
     run.costs = costs;
-    ComponentWalkHost component_host(host, observing ? &run.bus : nullptr);
+    ForwardingWalkHost component_host(host, observing ? &run.bus : nullptr,
+                                      /*journal=*/false);
     std::vector<lock::TransactionId> roots;
     roots.reserve(partition.components[c].size());
-    for (size_t index : partition.components[c]) {
-      roots.push_back(tst.TidAt(index));
+    for (size_t slot : partition.components[c]) {
+      roots.push_back(tst.TidAt(slot));
     }
     run.outcome = RunWalk(tst, roots, component_host, run.costs, local);
     // Segment the recorded stream into one event range per decision:
@@ -153,11 +166,7 @@ WalkOutcome RunWalkComponentParallel(Tst& tst, ParallelWalkHost& host,
                 run.decision_events.size() == run.outcome.decisions.size());
   };
 
-  if (pool != nullptr) {
-    pool->ParallelFor(n_comp, run_component);
-  } else {
-    for (size_t c = 0; c < n_comp; ++c) run_component(c);
-  }
+  pool->ParallelFor(n_comp, run_component);
 
   // Serial merge: interleave per-component decision streams by ascending
   // root id — the order the sequential outer loop would have made them.
@@ -207,8 +216,8 @@ WalkOutcome RunWalkComponentParallel(Tst& tst, ParallelWalkHost& host,
   // (see header), so copying the members' entries back is exact.
   for (size_t c = 0; c < n_comp; ++c) {
     merged.steps += runs[c].outcome.steps;
-    for (size_t index : partition.components[c]) {
-      const lock::TransactionId tid = tst.TidAt(index);
+    for (size_t slot : partition.components[c]) {
+      const lock::TransactionId tid = tst.TidAt(slot);
       const double* cost = runs[c].costs.Find(tid);
       if (cost != nullptr) costs.Set(tid, *cost);
     }

@@ -1,7 +1,10 @@
 // Copyright (c) the twbg authors. Licensed under the MIT license.
 //
-// Component-parallel Step 2: partition the flat TST into weakly-connected
+// Component-parallel Step 2: partition the TST into weakly-connected
 // components and run the directed walk per component on a worker pool.
+// Without a pool there is nothing to run concurrently, so the walk runs
+// directly over the whole TST (RunWalk), applying and journaling each
+// TDR-2 as it decides it.
 //
 // Why this is exact (byte-identical to the sequential walk): a walk
 // starting at root r only ever follows TST edges, so it never leaves r's
@@ -32,26 +35,27 @@
 
 namespace twbg::core {
 
-/// Weakly-connected-component partition of a TST's dense vertices.
+/// Weakly-connected-component partition of a TST's vertices.
 struct TstPartition {
-  /// Dense vertex indices per component, each ascending.  Components are
-  /// ordered by their smallest member (the "component root"), which makes
+  /// Vertex slots per component, each in ascending tid order.  Components
+  /// are ordered by their smallest tid (the "component root"), which makes
   /// the partition — and everything derived from it — deterministic.
   std::vector<std::vector<size_t>> components;
-  /// Component index of every dense vertex.
+  /// Component index of every vertex slot (unused slots: kNoVertex).
   std::vector<size_t> component_of;
 };
 
 /// Partitions `tst` into weakly-connected components (union-find over the
-/// precomputed edge targets; sentinels and out-of-table targets ignored).
+/// edges' target slots; sentinels and out-of-table targets ignored).
 TstPartition PartitionTst(const Tst& tst);
 
 /// Lock-state host for the component-parallel walk.  FindResource and
 /// FindWaitInfo must be safe for concurrent readers (the pass holds all
 /// shard locks, so plain lookups qualify).  ApplyTdr2Direct must mutate
-/// the resource WITHOUT journaling or event emission — both are deferred
-/// into the serial merge phase, which calls NoteTdr2Applied once per
-/// repositioning decision in merged order.
+/// the resource WITHOUT journaling or event emission: the walk calls
+/// NoteTdr2Applied once per repositioning decision, in the sequential
+/// decision order — right after the apply on the pool-less direct walk,
+/// in the serial merge phase on the pooled one.
 class ParallelWalkHost : public ResourceLookup, public WaitInfoLookup {
  public:
   /// Applies the TDR-2 repositioning on `rid` at `junction`, mutating the
@@ -59,16 +63,16 @@ class ParallelWalkHost : public ResourceLookup, public WaitInfoLookup {
   /// threads, but only ever for resources of the calling component.
   virtual Status ApplyTdr2Direct(lock::ResourceId rid,
                                  lock::TransactionId junction) = 0;
-  /// Serial deferred journaling of one applied TDR-2 (merge phase).
+  /// Serial journaling of one applied TDR-2.
   virtual void NoteTdr2Applied(lock::ResourceId rid) = 0;
 };
 
-/// Runs the Step 2 walk component-parallel over `pool` (nullptr or a
-/// single-component TST degrade to a serial loop through the identical
-/// code path) and returns the merged outcome.  Equivalent to
-/// RunWalk(tst, tst.Transactions(), ...) — same decisions, same order,
-/// same events on `options.event_bus`, same cost-table mutations.
-/// `num_components`, when non-null, receives the partition size.
+/// Runs the Step 2 walk component-parallel over `pool` and returns the
+/// merged outcome; with a null `pool` it is RunWalk(tst,
+/// tst.Transactions(), ...) itself.  Either way: the same decisions in the
+/// same order, the same events on `options.event_bus` and the same
+/// cost-table mutations as the sequential walk.  `num_components`, when
+/// non-null, receives the partition size (0 without a pool).
 WalkOutcome RunWalkComponentParallel(Tst& tst, ParallelWalkHost& host,
                                      CostTable& costs,
                                      const DetectorOptions& options,

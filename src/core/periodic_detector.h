@@ -23,14 +23,14 @@
 #include "core/cost_table.h"
 #include "core/detection_engine.h"
 #include "core/detector.h"
-#include "core/graph_builder.h"
+#include "core/tst_builder.h"
 #include "lock/lock_manager.h"
 
 namespace twbg::core {
 
-/// Owns its options plus the incremental graph cache that carries the TST
-/// across passes (with options.incremental_build off, each pass rebuilds
-/// from scratch and the detector is stateless again).  Costs live in the
+/// Owns its options plus the incremental Step 1 that keeps the TST across
+/// passes (with options.incremental_build off, each pass rebuilds from
+/// scratch and the detector is stateless again).  Costs live in the
 /// caller-provided CostTable so they persist across passes (TDR-2 bumps
 /// must be remembered).
 class PeriodicDetector {
@@ -47,7 +47,7 @@ class PeriodicDetector {
 
  private:
   DetectorOptions options_;
-  GraphBuilder builder_;
+  TstBuilder builder_;
 };
 
 }  // namespace twbg::core

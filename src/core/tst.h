@@ -15,12 +15,18 @@
 // The paper encodes "nil" currents as a null pointer; we use an index one
 // past the end of `waited`.
 //
-// Layout: flat, allocation-light.  Entries live in a dense vector parallel
-// to a sorted id vector (binary-searched by At), and every entry's
-// `waited` list is a span into one central per-TST edge array grouped by
-// source vertex.  Assemble() rebuilds the whole structure in place without
-// freeing storage, which is what makes the incremental GraphBuilder's
-// per-pass refresh cheap.  See docs/PERFORMANCE.md.
+// Layout: every vertex owns a slot.  Slot-indexed arrays hold the entry,
+// the tid and the start of the vertex's out-edge list in one central edge
+// arena; every arena edge is paired with its target's slot, so the walk
+// never searches.  The ascending-tid root order (Transactions(), with
+// RootSlot(i) the slot of its i-th tid) is Step 2's outer loop.  Build()
+// and FromEdges() lay a table out packed, slot i holding the i-th smallest
+// tid.  core::TstBuilder keeps one Tst across passes instead: a vertex
+// keeps its slot while it stays in the graph, freed slots are reused, the
+// root order is patched only when a vertex joins or leaves, and only the
+// vertices whose edges changed get a new list (appended to the arena, which
+// is repacked once its dead edges outnumber the live ones).  See
+// docs/PERFORMANCE.md.
 
 #ifndef TWBG_CORE_TST_H_
 #define TWBG_CORE_TST_H_
@@ -29,6 +35,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/ecr.h"
@@ -38,7 +45,7 @@ namespace twbg::core {
 
 /// One TST entry.
 struct TstEntry {
-  /// 0 = unvisited, kRoot = walk root, otherwise 1 + the dense index (see
+  /// 0 = unvisited, kRoot = walk root, otherwise 1 + the slot (see
   /// Tst::EntryAt) of the vertex we descended from.
   int64_t ancestor = 0;
   /// Index of the next edge to explore in `waited`; >= waited.size()
@@ -47,9 +54,9 @@ struct TstEntry {
   /// Resource in whose queue this transaction waits, if any.
   std::optional<lock::ResourceId> pr;
   /// Outgoing edges: at most one W edge first (possibly the sentinel with
-  /// to == 0), then H edges in ECR construction order.  A view into the
-  /// owning Tst's central edge array — never outlives the Tst and is
-  /// invalidated by Assemble().
+  /// to == 0), then H edges in ascending rid and, within a resource, ECR
+  /// construction order.  A view into the owning Tst's edge arena — never
+  /// outlives the Tst and is invalidated when the Tst is patched.
   std::span<const TwbgEdge> waited;
 
   static constexpr int64_t kRoot = -1;
@@ -60,20 +67,19 @@ struct TstEntry {
 };
 
 /// Position of `tid` in the ascending, duplicate-free `sorted`, or
-/// sorted.size() when absent.  Branch-free: Step 1 runs one search per edge
-/// source and target, and a mispredicted branch per halving step would
-/// cost more than the comparisons.
+/// sorted.size() when absent.  Branch-free: a mispredicted branch per
+/// halving step would cost more than the comparisons.
 size_t SortedIndexOf(const std::vector<lock::TransactionId>& sorted,
                      lock::TransactionId tid);
 
-/// The TST.  Built fresh by Build() (scratch Step 1) or refreshed in place
-/// by core::GraphBuilder (incremental Step 1); the paper materializes only
-/// the H edges then (W edges live in its lock table), which is
-/// observationally identical.
+/// The TST.  Built fresh by Build() (scratch Step 1) or kept across passes
+/// and patched by core::TstBuilder (incremental Step 1); the paper
+/// materializes only the H edges then (W edges live in its lock table),
+/// which is observationally identical.
 class Tst {
  public:
   Tst() = default;
-  // Copies must re-point the entries' spans at the new edge array; moves
+  // Copies must re-point the entries' spans at the new edge arena; moves
   // keep the heap buffers and need no fixup.
   Tst(const Tst& other);
   Tst& operator=(const Tst& other);
@@ -81,45 +87,36 @@ class Tst {
   Tst& operator=(Tst&&) = default;
 
   /// Builds the complete TST (W edges with sentinels + H edges via ECR)
-  /// for every transaction appearing in `table`.
+  /// for every transaction appearing in `table`.  The from-scratch
+  /// reference every incremental Step 1 is tested against.
   static Tst Build(const lock::LockTable& table);
 
   /// Assembles a TST from a pre-built edge list (which must include
-  /// sentinel W edges) plus the full vertex set — used by the scoped
-  /// builder.  Edge order must follow the ascending-rid ECR construction
-  /// order for walk behaviour to match Build().
+  /// sentinel W edges, and at most one W edge per source) plus a vertex
+  /// set in any order, duplicates allowed (edge sources are added
+  /// implicitly) — used by the scoped builder.  Edge order must follow
+  /// the ascending-rid ECR construction order for walk behaviour to match
+  /// Build().
   static Tst FromEdges(const std::vector<TwbgEdge>& edges,
                        const std::vector<lock::TransactionId>& txns);
-
-  /// Rebuilds the table in place from `edges` (sentinels included, ECR
-  /// construction order) and the vertex set `txns` (duplicates and any
-  /// order allowed; edge sources are added implicitly).  Resets all walk
-  /// state.  Reuses existing storage, so a long-lived Tst refreshed every
-  /// pass stops allocating once warm.  When `txns` is strictly ascending
-  /// and holds every edge source — what the incremental builders pass —
-  /// it is used as is: no sort, one lookup per edge source.  Any other
-  /// input takes the sorting path; both give the same table.
-  void Assemble(const std::vector<TwbgEdge>& edges,
-                const std::vector<lock::TransactionId>& txns);
 
   TstEntry& At(lock::TransactionId tid);
   const TstEntry& At(lock::TransactionId tid) const;
   bool Contains(lock::TransactionId tid) const;
 
-  /// Position of `tid` in Transactions(), or size() when absent.
-  size_t IndexOf(lock::TransactionId tid) const;
+  /// Slot of `tid`, or kNoVertex when absent.  O(log n).
+  size_t SlotOf(lock::TransactionId tid) const;
 
-  /// Dense accessors — the walk's hot path uses these instead of the
-  /// binary-searching At().  `index` must be < size().
-  TstEntry& EntryAt(size_t index) { return entries_[index]; }
-  const TstEntry& EntryAt(size_t index) const { return entries_[index]; }
-  lock::TransactionId TidAt(size_t index) const { return tids_[index]; }
+  /// Slot accessors — the walk's hot path uses these instead of the
+  /// searching At().  `slot` must be < num_slots().
+  TstEntry& EntryAt(size_t slot) { return entries_[slot]; }
+  const TstEntry& EntryAt(size_t slot) const { return entries_[slot]; }
+  lock::TransactionId TidAt(size_t slot) const { return slot_tids_[slot]; }
 
-  /// Dense index of waited[edge_offset].to for vertex `index`, precomputed
-  /// by Assemble(); kNoVertex for sentinel edges, size() for targets not
-  /// in the table.
-  size_t EdgeTargetIndex(size_t index, size_t edge_offset) const {
-    return edge_targets_[offsets_[index] + edge_offset];
+  /// Slot of waited[edge_offset].to for the vertex in `slot`; kNoVertex
+  /// for sentinel edges and for targets not in the table.
+  size_t EdgeTargetIndex(size_t slot, size_t edge_offset) const {
+    return edge_targets_[offsets_[slot] + edge_offset];
   }
 
   static constexpr size_t kNoVertex = static_cast<size_t>(-1);
@@ -128,33 +125,67 @@ class Tst {
   const std::vector<lock::TransactionId>& Transactions() const {
     return tids_;
   }
+  /// Slot of Transactions()[i].
+  size_t RootSlot(size_t i) const { return order_[i]; }
 
-  size_t size() const { return entries_.size(); }
+  /// Number of vertices (n).
+  size_t size() const { return tids_.size(); }
+  /// Slot capacity: every slot index is below it.  Unused slots have no
+  /// edges and a nil current.
+  size_t num_slots() const { return entries_.size(); }
 
   /// Total number of edges (including sentinels).
-  size_t NumEdges() const { return edges_.size(); }
+  size_t NumEdges() const { return num_edges_; }
 
   /// Figure 5.1-style dump: one line per transaction with pr and the
-  /// waited list.
+  /// waited list, in ascending tid order.
   std::string ToString() const;
 
  private:
-  // Re-points every entry's span at this object's edges_ (after a copy).
+  friend class TstBuilder;
+
+  // Incremental maintenance, driven by core::TstBuilder.  A slot taken by
+  // AddVertex has no edges until SetEdges gives it some; RemoveVertex
+  // takes a slot whose edges are gone.  FinishPatch must follow a batch
+  // of these calls before the table is walked or read.
+  size_t AddVertex(lock::TransactionId tid);
+  void RemoveVertex(size_t slot);
+  // Replaces the out-edge list of `slot` (W edge, if any, first) and its
+  // target slots.  Neither span may point into this Tst.
+  void SetEdges(size_t slot, std::span<const TwbgEdge> edges,
+                std::span<const size_t> targets);
+  // The edge arena's target slots of `slot`'s list, parallel to waited.
+  std::span<const size_t> TargetsOf(size_t slot) const {
+    return std::span<const size_t>(edge_targets_.data() + offsets_[slot],
+                                   entries_[slot].waited.size());
+  }
+  // Patches the root order for the vertices added and removed since the
+  // last call, repacks the arena when half of it is dead, and resets the
+  // walk state of every slot.
+  void FinishPatch();
+
+  // Re-points every entry's span at this object's edge arena (after a
+  // copy or an arena reallocation).
   void RepointSpans();
 
-  std::vector<lock::TransactionId> tids_;  // sorted, unique
-  std::vector<TstEntry> entries_;          // parallel to tids_
-  // Central edge storage: one contiguous group per vertex, in tids_
-  // order; within a group the W edge (if any) precedes the H edges.
+  std::vector<TstEntry> entries_;              // per slot
+  std::vector<lock::TransactionId> slot_tids_;  // per slot; 0 when unused
+  std::vector<size_t> offsets_;                // per slot: list start
+  std::vector<size_t> free_slots_;
+  std::vector<lock::TransactionId> tids_;  // ascending, unique
+  std::vector<size_t> order_;              // parallel to tids_: slots
+  // Edge arena: each slot's list is one contiguous run; runs of removed
+  // or replaced lists stay behind as dead edges until the next repack.
   std::vector<TwbgEdge> edges_;
-  // Parallel to edges_: dense index of each edge's target (kNoVertex for
-  // sentinels), so the walk never binary-searches.
+  // Parallel to edges_: the slot of each edge's target (kNoVertex for
+  // sentinels).
   std::vector<size_t> edge_targets_;
-  // Assembly scratch (group offsets / fill cursors / each input edge's
-  // source index), kept warm.
-  std::vector<size_t> offsets_;
-  std::vector<size_t> fill_;
-  std::vector<size_t> edge_sources_;
+  size_t num_edges_ = 0;  // live edges
+  // Patch bookkeeping and scratch, kept warm across passes.
+  std::vector<std::pair<lock::TransactionId, size_t>> joined_;
+  bool vertex_left_ = false;
+  std::vector<TwbgEdge> edge_scratch_;
+  std::vector<size_t> target_scratch_;
 };
 
 }  // namespace twbg::core

@@ -21,6 +21,7 @@
 #include "core/periodic_detector.h"
 #include "core/script.h"
 #include "core/tst.h"
+#include "core/tst_builder.h"
 #include "core/twbg.h"
 #include "lock/lock_manager.h"
 #include "obs/bus.h"
@@ -86,14 +87,15 @@ std::string StripCacheLines(const std::string& s) {
 
 class IncrementalBuildTest : public ::testing::TestWithParam<uint64_t> {};
 
-// Byte-identical structures: after every mutation, one long-lived
-// GraphBuilder refreshed in place must reproduce Tst::Build and
-// HwTwbg::Build exactly.  6 seeds x 200 rounds = 1200 schedules; the
-// builder survives across rounds, so every round also exercises the
+// Byte-identical structures: after every mutation, a long-lived
+// TstBuilder and GraphBuilder refreshed in place must reproduce Tst::Build
+// and HwTwbg::Build exactly.  6 seeds x 200 rounds = 1200 schedules; the
+// builders survive across rounds, so every round also exercises the
 // table-switch (full-sweep) path before settling into the journal path.
 TEST_P(IncrementalBuildTest, RefreshMatchesScratchOnRandomSchedules) {
   common::Rng rng(GetParam());
-  GraphBuilder builder;
+  TstBuilder builder;
+  GraphBuilder graph_builder;
   for (int round = 0; round < 200; ++round) {
     LockManager lm;
     std::vector<Op> schedule = MakeSchedule(rng, 8, 4, 40);
@@ -105,7 +107,7 @@ TEST_P(IncrementalBuildTest, RefreshMatchesScratchOnRandomSchedules) {
           << "seed " << GetParam() << " round " << round << " op " << i;
       // After the refresh the cache is clean; the graph snapshot must
       // still equal a scratch build.
-      ASSERT_EQ(builder.BuildGraph(lm.table()).ToString(),
+      ASSERT_EQ(graph_builder.BuildGraph(lm.table()).ToString(),
                 HwTwbg::Build(lm.table()).ToString());
       size_t table_resources = 0;
       for (const auto& [rid, state] : lm.table()) {
@@ -200,25 +202,30 @@ TEST_P(IncrementalBuildTest, ContinuousDetectorParityOnRandomSchedules) {
   }
 }
 
-// The builder's caches, edge-list index included, are plain values: a
-// copy refreshes on the journal exactly like its source, and so does every
-// builder the vector's reallocations move.
+// The builders' caches, the edge-list index and the persistent TST
+// included, are plain values: a copy refreshes on the journal exactly like
+// its source, and so does every builder the vectors' reallocations move.
 TEST(GraphBuilderTest, CopiesAndMovesKeepRefreshingOnTheJournal) {
   common::Rng rng(99);
   LockManager lm;
-  std::vector<GraphBuilder> builders(1);
+  std::vector<TstBuilder> builders(1);
+  std::vector<GraphBuilder> graph_builders(1);
   const std::vector<Op> schedule = MakeSchedule(rng, 8, 6, 200);
   for (size_t i = 0; i < schedule.size(); ++i) {
     Apply(lm, schedule[i]);
     if (i % 10 != 0) continue;
     const std::string tst = Tst::Build(lm.table()).ToString();
     const std::string graph = HwTwbg::Build(lm.table()).ToString();
-    for (GraphBuilder& builder : builders) {
+    for (TstBuilder& builder : builders) {
       ASSERT_EQ(builder.RefreshTst(lm.table()).ToString(), tst) << "op " << i;
       ASSERT_EQ(builder.stats().full_sweep, i == 0);
+    }
+    for (GraphBuilder& builder : graph_builders) {
       ASSERT_EQ(builder.BuildGraph(lm.table()).ToString(), graph);
+      ASSERT_EQ(builder.stats().full_sweep, i == 0);
     }
     builders.push_back(builders.back());
+    graph_builders.push_back(graph_builders.back());
   }
   EXPECT_EQ(builders.size(), 21u);
 }

@@ -26,6 +26,7 @@
 #include "core/periodic_detector.h"
 #include "core/script.h"
 #include "core/tst.h"
+#include "core/tst_builder.h"
 #include "lock/lock_manager.h"
 #include "obs/bus.h"
 #include "obs/sinks.h"
@@ -239,7 +240,7 @@ TEST(ParallelDifferentialZipfTest, SkewedSchedulesAgreeOnAllPaths) {
 
 // Multi-table Step 1 parity: one random schedule, routed by rid into k
 // shard tables and mirrored whole into a reference table, must give a
-// ShardedTstBuilder TST byte-identical to a single-table build of the
+// TstBuilder TST byte-identical to a single-table build of the
 // reference after every few ops.  Each builder lives across rounds (a
 // round's fresh tables are a table switch: full sweep), refreshes on the
 // journal within a round, and mid-round is handed copies of its tables
@@ -250,7 +251,7 @@ TEST(ShardedTstBuilderTest, MultiTableRefreshMatchesSingleTableBuild) {
   size_t journal_refreshes = 0;
   size_t copy_rounds = 0;
   for (const size_t num_shards : {size_t{2}, size_t{4}, size_t{8}}) {
-    ShardedTstBuilder builder;
+    TstBuilder builder;
     for (int round = 0; round < 40; ++round) {
       LockManager reference;
       std::vector<LockManager> shards(num_shards);
@@ -349,7 +350,7 @@ TEST(ShardedTstBuilderTest, CaptureSkewKeepsTheLowerRidWaitEdge) {
   ASSERT_EQ(*b.Acquire(2, 2, LockMode::kX), RequestOutcome::kBlocked);
   ASSERT_EQ(*b.Acquire(1, 3, LockMode::kX), RequestOutcome::kBlocked);
 
-  ShardedTstBuilder builder;
+  TstBuilder builder;
   Tst& tst = builder.RefreshTst({&a.table(), &b.table()}, nullptr);
 
   const TstEntry& t2 = tst.At(2);
