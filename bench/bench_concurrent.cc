@@ -22,7 +22,9 @@
 // measures the pauseless-vs-stop-the-world grid itself), and its
 // per-shard contention counters folded into the SimMetrics fields
 // (shard_mutex_waits / shard_hold_ns / detector_passes /
-// detector_pause_ns / snapshot_*).  Speedups are informational on small hosts —
+// detector_pause_ns / snapshot_*; shard_hold_ns is the service's
+// estimate, which samples client critical sections one in 16 — see
+// txn::ShardStats::hold_ns).  Speedups are informational on small hosts —
 // `host_cores` is recorded so CI trend lines can be read honestly.
 //
 // Usage: bench_concurrent [txns_per_thread] [resources] [out.json]

@@ -8,12 +8,16 @@
 // cache counters of the final incremental pass) are written as a JSON
 // object so CI can archive them.
 //
-// A third, instrumented run then re-times the incremental mode with an
+// Two more configurations re-time the incremental mode: one with an
 // event bus and a LatencyObserver attached, yielding the per-pass Step-1 /
-// Step-2 breakdown (and the observability overhead, which must stay small).
-// A fourth run adds the always-on forensics flight recorder on top and
-// reports its marginal overhead (`recorder_overhead`, relative to the
-// bare incremental pass) — the CI perf-smoke job gates it at 3%.
+// Step-2 breakdown (and the observability overhead, which must stay
+// small), and one with the always-on forensics flight recorder alone,
+// whose marginal overhead over the bare incremental pass
+// (`recorder_overhead`) the CI perf-smoke job gates at 3%.  The three
+// incremental configurations run interleaved pass by pass on twin tables
+// with one mutation stream (bench/steady_twins.h), so host drift does not
+// decide that gate; the from-scratch mode runs after them on its own twin
+// (its whole-table passes would flush the others' caches).
 //
 // Usage: bench_steady_state [resources] [mutations] [passes] [out.json]
 //                           [events.jsonl]
@@ -28,62 +32,13 @@
 #include <memory>
 #include <string>
 
-#include "bench/scenarios.h"
+#include "bench/steady_twins.h"
 #include "common/macros.h"
-#include "common/stopwatch.h"
-#include "core/periodic_detector.h"
 #include "obs/flight_recorder.h"
 #include "obs/observer.h"
 #include "obs/sinks.h"
 
 using namespace twbg;
-
-namespace {
-
-// Times `passes` detection passes, each preceded by `mutations` churn
-// mutations (excluded from the timing).  Returns mean ns/pass; the last
-// pass's report lands in *last.
-double MeasureMode(bool incremental, size_t resources, size_t mutations,
-                   size_t passes, core::ResolutionReport* last,
-                   obs::EventBus* bus = nullptr,
-                   obs::LatencyObserver* observer = nullptr) {
-  lock::LockManager manager;
-  bench::SteadyState steady =
-      bench::BuildSteadyState(manager, resources, /*bulk=*/16);
-  // Shallow invariant check only — the deep per-transaction sweep is
-  // O(transactions x resources) and would dwarf the benchmark setup.
-  TWBG_CHECK(manager.CheckInvariants(/*deep=*/false).ok());
-  core::DetectorOptions options;
-  options.incremental_build = incremental;
-  options.event_bus = bus;
-  core::PeriodicDetector detector(options);
-  // Attach the bus after the bulk build so the event log records the
-  // steady-state churn (grants/releases between passes), not the setup.
-  // The table never deadlocks, so no lock events fire inside the timed
-  // RunPass window and the overhead measurement stays clean.
-  manager.set_event_bus(bus);
-  core::CostTable costs;
-  detector.RunPass(manager, costs);  // warm the cache / allocations
-  // The warm-up pass is a full sweep; keep it out of the histograms so
-  // the reported step means describe steady-state passes only.
-  if (observer != nullptr) observer->Reset();
-  size_t cursor = 0;
-  int64_t total_ns = 0;
-  for (size_t p = 0; p < passes; ++p) {
-    for (size_t i = 0; i < mutations; ++i) {
-      bench::MutateSteadyState(
-          manager, steady,
-          static_cast<lock::ResourceId>(cursor % resources + 1));
-      ++cursor;
-    }
-    common::Stopwatch watch;
-    *last = detector.RunPass(manager, costs);
-    total_ns += watch.ElapsedNanos();
-  }
-  return static_cast<double>(total_ns) / static_cast<double>(passes);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   size_t resources = 10000;
@@ -106,22 +61,12 @@ int main(int argc, char** argv) {
                   static_cast<double>(resources),
               passes);
 
-  core::ResolutionReport incremental_report;
-  core::ResolutionReport scratch_report;
-  const double incremental_ns = MeasureMode(
-      /*incremental=*/true, resources, mutations, passes, &incremental_report);
-  const double scratch_ns = MeasureMode(
-      /*incremental=*/false, resources, mutations, passes, &scratch_report);
-  const double speedup = scratch_ns / incremental_ns;
-
-  // Both modes must agree on what the pass saw — the table has no
-  // deadlocks, so any cycle or abort means a build bug.
-  TWBG_CHECK(incremental_report.cycles_detected == 0);
-  TWBG_CHECK(scratch_report.cycles_detected == 0);
-
-  // Instrumented run: same incremental pass with the event bus, a
-  // LatencyObserver and (optionally) a JSONL exporter attached.  The
+  // Instrumented configuration: the incremental pass with the event bus,
+  // a LatencyObserver and (optionally) a JSONL exporter attached.  The
   // per-pass Step-1/Step-2 breakdown comes from the observer's histograms.
+  // The bus sees the steady-state churn (grants/releases between passes);
+  // the table never deadlocks, so no lock events fire inside the timed
+  // RunPass window and the overhead measurement stays clean.
   obs::EventBus bus;
   obs::LatencyObserver observer;
   bus.Subscribe(&observer);
@@ -137,24 +82,49 @@ int main(int argc, char** argv) {
     jsonl = std::move(*sink);
     bus.Subscribe(jsonl.get());
   }
-  core::ResolutionReport instrumented_report;
-  const double instrumented_ns =
-      MeasureMode(/*incremental=*/true, resources, mutations, passes,
-                  &instrumented_report, &bus, &observer);
-  const double step1_ns = observer.step1_ns().mean();
-  const double step2_ns = observer.step2_ns().mean();
-  const double obs_overhead = instrumented_ns / incremental_ns - 1.0;
-
-  // Flight-recorder run: the forensics ring alone on the bus, as it would
-  // ship in production ("always cheap").  Its overhead is measured against
-  // the bare incremental pass.
+  // Flight-recorder configuration: the forensics ring alone on the bus, as
+  // it would ship in production ("always cheap").  Its overhead is
+  // measured against the bare incremental pass.
   obs::EventBus recorder_bus;
   obs::FlightRecorder recorder;
   recorder_bus.Subscribe(&recorder);
-  core::ResolutionReport recorder_report;
-  const double recorder_ns =
-      MeasureMode(/*incremental=*/true, resources, mutations, passes,
-                  &recorder_report, &recorder_bus);
+
+  core::DetectorOptions bare_options;
+  bare_options.incremental_build = true;
+  core::DetectorOptions instrumented_options = bare_options;
+  instrumented_options.event_bus = &bus;
+  core::DetectorOptions recorder_options = bare_options;
+  recorder_options.event_bus = &recorder_bus;
+  bench::SteadyTwin incremental(resources, /*bulk=*/16, bare_options);
+  bench::SteadyTwin instrumented(resources, /*bulk=*/16, instrumented_options,
+                                 &bus);
+  bench::SteadyTwin recorded(resources, /*bulk=*/16, recorder_options,
+                             &recorder_bus);
+  // The warm-up pass is a full sweep; keep it out of the histograms so
+  // the reported step means describe steady-state passes only.
+  observer.Reset();
+  bench::TimeInterleaved({&incremental, &instrumented, &recorded}, resources,
+                         mutations, passes);
+  core::DetectorOptions scratch_options;
+  scratch_options.incremental_build = false;
+  bench::SteadyTwin scratch(resources, /*bulk=*/16, scratch_options);
+  bench::TimeInterleaved({&scratch}, resources, mutations, passes);
+
+  // Every mode must agree on what the pass saw — the table has no
+  // deadlocks, so any cycle or abort means a build bug.
+  for (const bench::SteadyTwin* twin :
+       {&incremental, &instrumented, &recorded, &scratch}) {
+    TWBG_CHECK(twin->last.cycles_detected == 0);
+  }
+  const core::ResolutionReport& incremental_report = incremental.last;
+  const double incremental_ns = incremental.ns_per_pass();
+  const double scratch_ns = scratch.ns_per_pass();
+  const double speedup = scratch_ns / incremental_ns;
+  const double instrumented_ns = instrumented.ns_per_pass();
+  const double step1_ns = observer.step1_ns().mean();
+  const double step2_ns = observer.step2_ns().mean();
+  const double obs_overhead = instrumented_ns / incremental_ns - 1.0;
+  const double recorder_ns = recorded.ns_per_pass();
   const double recorder_overhead = recorder_ns / incremental_ns - 1.0;
 
   std::printf("  incremental: %12.0f ns/pass (dirty=%zu cached=%zu "

@@ -13,6 +13,8 @@
 //   tracer-on   the same tracer with a SpanCollectorSink subscribed, i.e.
 //               every pass/step1/step2 span is materialised and delivered
 //
+// The three run interleaved pass by pass on twin tables with one mutation
+// stream (bench/steady_twins.h), so host drift does not decide the gates.
 // Overheads are reported relative to the baseline and written to
 // BENCH_trace.json; the CI perf-smoke job gates tracer-on at 3% and
 // tracer-off at the noise floor (see .github/workflows/ci.yml).
@@ -27,55 +29,12 @@
 #include <cstdlib>
 #include <string>
 
-#include "bench/scenarios.h"
+#include "bench/steady_twins.h"
 #include "common/macros.h"
-#include "common/stopwatch.h"
-#include "core/periodic_detector.h"
 #include "obs/span.h"
 #include "obs/span_sinks.h"
 
 using namespace twbg;
-
-namespace {
-
-// Times `passes` incremental detection passes, each preceded by
-// `mutations` churn mutations (excluded from the timing).  Returns mean
-// ns/pass.  When `tracer` is non-null it is wired into both the lock
-// manager and the detector, exactly as a host would.
-double MeasureMode(size_t resources, size_t mutations, size_t passes,
-                   core::ResolutionReport* last,
-                   obs::SpanTracer* tracer = nullptr) {
-  lock::LockManager manager;
-  bench::SteadyState steady =
-      bench::BuildSteadyState(manager, resources, /*bulk=*/16);
-  TWBG_CHECK(manager.CheckInvariants(/*deep=*/false).ok());
-  core::DetectorOptions options;
-  options.incremental_build = true;
-  options.span_tracer = tracer;
-  core::PeriodicDetector detector(options);
-  // Attach after the bulk build so setup-phase grants stay untraced; the
-  // table never deadlocks, so the timed RunPass window sees exactly the
-  // pass/step1/step2 spans (wait spans fire in the untimed churn).
-  manager.set_span_tracer(tracer);
-  core::CostTable costs;
-  detector.RunPass(manager, costs);  // warm the cache / allocations
-  size_t cursor = 0;
-  int64_t total_ns = 0;
-  for (size_t p = 0; p < passes; ++p) {
-    for (size_t i = 0; i < mutations; ++i) {
-      bench::MutateSteadyState(
-          manager, steady,
-          static_cast<lock::ResourceId>(cursor % resources + 1));
-      ++cursor;
-    }
-    common::Stopwatch watch;
-    *last = detector.RunPass(manager, costs);
-    total_ns += watch.ElapsedNanos();
-  }
-  return static_cast<double>(total_ns) / static_cast<double>(passes);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   size_t resources = 10000;
@@ -96,25 +55,39 @@ int main(int argc, char** argv) {
                   static_cast<double>(resources),
               passes);
 
-  core::ResolutionReport report;
-  const double baseline_ns =
-      MeasureMode(resources, mutations, passes, &report);
-  TWBG_CHECK(report.cycles_detected == 0);
-
   // Tracer attached, no sinks: active() is false, every Open/Close call
   // short-circuits before allocating a span.
   obs::SpanTracer idle_tracer;
-  const double off_ns =
-      MeasureMode(resources, mutations, passes, &report, &idle_tracer);
-  const double off_overhead = off_ns / baseline_ns - 1.0;
-
   // Tracer with a collector sink: every span is materialised, delivered
   // and retained (passes * {pass, step1, step2} plus churn wait spans).
   obs::SpanTracer tracer;
   obs::SpanCollectorSink collector;
   tracer.Subscribe(&collector);
-  const double on_ns =
-      MeasureMode(resources, mutations, passes, &report, &tracer);
+
+  // A traced twin has its tracer wired into both the lock manager and the
+  // detector, exactly as a host would; the lock manager's is attached
+  // after the bulk build so setup-phase grants stay untraced.  The table
+  // never deadlocks, so the timed RunPass window sees exactly the
+  // pass/step1/step2 spans (wait spans fire in the untimed churn).
+  core::DetectorOptions options;
+  options.incremental_build = true;
+  core::DetectorOptions off_options = options;
+  off_options.span_tracer = &idle_tracer;
+  core::DetectorOptions on_options = options;
+  on_options.span_tracer = &tracer;
+  bench::SteadyTwin baseline(resources, /*bulk=*/16, options);
+  bench::SteadyTwin off(resources, /*bulk=*/16, off_options, nullptr,
+                        &idle_tracer);
+  bench::SteadyTwin on(resources, /*bulk=*/16, on_options, nullptr, &tracer);
+  bench::TimeInterleaved({&baseline, &off, &on}, resources, mutations,
+                         passes);
+  for (const bench::SteadyTwin* twin : {&baseline, &off, &on}) {
+    TWBG_CHECK(twin->last.cycles_detected == 0);
+  }
+  const double baseline_ns = baseline.ns_per_pass();
+  const double off_ns = off.ns_per_pass();
+  const double off_overhead = off_ns / baseline_ns - 1.0;
+  const double on_ns = on.ns_per_pass();
   const double on_overhead = on_ns / baseline_ns - 1.0;
   TWBG_CHECK(collector.Count(obs::SpanKind::kPass) >= passes);
   TWBG_CHECK(tracer.dropped_closes() == 0);

@@ -11,10 +11,20 @@ namespace twbg::lock {
 
 uint64_t NextStateVersion() {
   // Version stamps must stay process-unique even when shards mutate their
-  // tables concurrently (txn::ConcurrentLockService); relaxed ordering is
-  // enough — uniqueness is the only property derived caches rely on.
+  // tables concurrently (txn::ConcurrentLockService).  Each thread reserves
+  // a block of the shared counter and hands its stamps out locally, so the
+  // shared cache line is written once per kBlock stamps, not on every
+  // mutation.  Blocks are disjoint and stamps start at 1; relaxed ordering
+  // is enough — uniqueness is the only property derived caches rely on.
+  constexpr uint64_t kBlock = 1024;
   static std::atomic<uint64_t> counter{0};
-  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
+  thread_local uint64_t next = 0;
+  thread_local uint64_t end = 0;
+  if (next == end) {
+    next = counter.fetch_add(kBlock, std::memory_order_relaxed) + 1;
+    end = next + kBlock;
+  }
+  return next++;
 }
 
 std::string HolderEntry::ToString() const {

@@ -61,10 +61,14 @@ enum class RequestOutcome {
   kBlocked,
 };
 
-/// Returns a fresh value from the process-wide modification counter.
-/// Values are never reused, so two states with equal versions are
-/// guaranteed to carry identical holder/queue content (one is an
-/// unmutated copy of the other).
+/// Returns a fresh modification stamp, unique in the process.  Each
+/// thread takes its stamps from a block of the process-wide counter that
+/// it reserved for itself, so a mutation pays no atomic read-modify-write
+/// on shared memory, and stamps from different threads do not come in
+/// counter order.  Values are never reused, which is all the stamp
+/// readers rely on: two states with equal versions are guaranteed to
+/// carry identical holder/queue content (one is an unmutated copy of the
+/// other).
 uint64_t NextStateVersion();
 
 /// Lock state of a single resource.  Not thread-safe; the library's core is
@@ -96,7 +100,7 @@ class ResourceState {
   AdmissionPolicy policy() const { return policy_; }
   LockMode total_mode() const { return total_mode_; }
 
-  /// Modification stamp: refreshed from the process-wide counter on
+  /// Modification stamp: a fresh NextStateVersion() on
   /// construction and by every mutating call (Request, Remove,
   /// Reschedule, ApplyTdr2) that changes holder/queue content.  Derived
   /// caches (core::GraphBuilder) key their per-resource entries on this;

@@ -118,8 +118,9 @@ enum class EventKind : uint8_t {
   /// the sharded service.  `rid` = the shard index (not a resource);
   /// `a` = cumulative contended mutex acquisitions (lock attempts that
   /// found the shard mutex held), `b` = cumulative operations routed to
-  /// the shard; `value` = cumulative shard-mutex hold time in
-  /// nanoseconds.
+  /// the shard; `value` = estimated cumulative shard-mutex hold time in
+  /// nanoseconds (txn::ShardStats::hold_ns: passes timed exactly, client
+  /// critical sections sampled one in 16 and charged 16 times).
   kShardContention,
 
   // -- robustness layer (txn/robustness: deadlines, admission control,

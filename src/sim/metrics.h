@@ -91,7 +91,9 @@ struct SimMetrics {
   /// single-threaded simulator leaves them zero and ToString omits them.
   /// Shard-mutex acquisitions that found the mutex already held.
   size_t shard_mutex_waits = 0;
-  /// Total shard-mutex hold time across shards, nanoseconds.
+  /// Estimated total shard-mutex hold time across shards, nanoseconds:
+  /// the sum of txn::ShardStats::hold_ns, which samples client critical
+  /// sections one in 16.
   size_t shard_hold_ns = 0;
   /// Detection passes completed (stop-the-world or pauseless).
   size_t detector_passes = 0;

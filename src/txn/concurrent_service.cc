@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <map>
+#include <new>
+#include <optional>
+#include <type_traits>
 
 #include "common/string_util.h"
 #include "core/detection_engine.h"
@@ -260,6 +263,34 @@ size_t ConcurrentLockService::ShardIndex(lock::ResourceId rid) const {
   return static_cast<size_t>((h >> 32) % shards_.size());
 }
 
+ConcurrentLockService::TxnTable::~TxnTable() {
+  static_assert(std::is_trivially_destructible_v<TxnRecord>);
+  for (TxnRecord* chunk : chunks_) ::operator delete(chunk);
+}
+
+ConcurrentLockService::TxnRecord& ConcurrentLockService::TxnTable::Append() {
+  const size_t index = size_.load(std::memory_order_relaxed);
+  const size_t slot = index + kFirstChunk;
+  const int chunk = std::bit_width(slot) - 1 - kFirstChunkLog2;
+  TWBG_CHECK(chunk < kMaxChunks);
+  const size_t offset = slot - (kFirstChunk << chunk);
+  if (offset == 0) {
+    // Storage only: a record is built when its tid is issued.
+    chunks_[chunk] = static_cast<TxnRecord*>(
+        ::operator new(sizeof(TxnRecord) * (kFirstChunk << chunk)));
+  }
+  TxnRecord* rec = new (&chunks_[chunk][offset]) TxnRecord();
+  size_.store(index + 1, std::memory_order_release);
+  return *rec;
+}
+
+void ConcurrentLockService::ShardLocks::Unlock() {
+  for (uint64_t m = mask_; m != 0; m &= m - 1) {
+    service_.shards_[std::countr_zero(m)]->mu.unlock();
+  }
+  mask_ = 0;
+}
+
 std::unique_lock<std::mutex> ConcurrentLockService::LockShard(Shard& shard) {
   std::unique_lock<std::mutex> sl(shard.mu, std::try_to_lock);
   const bool contended = !sl.owns_lock();
@@ -269,16 +300,16 @@ std::unique_lock<std::mutex> ConcurrentLockService::LockShard(Shard& shard) {
   return sl;
 }
 
-std::vector<std::unique_lock<std::mutex>> ConcurrentLockService::LockShards(
-    uint64_t mask, common::Stopwatch& hold) {
+ConcurrentLockService::ShardLocks ConcurrentLockService::LockShards(
+    uint64_t mask) {
   TWBG_DCHECK(t_in_sealed_detect == 0);
-  std::vector<std::unique_lock<std::mutex>> locks;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if ((mask & (uint64_t{1} << s)) == 0) continue;
-    locks.push_back(LockShard(*shards_[s]));
+  if (shards_.size() < kMaxShards) {
+    mask &= (uint64_t{1} << shards_.size()) - 1;
   }
-  hold.Reset();
-  return locks;
+  for (uint64_t m = mask; m != 0; m &= m - 1) {
+    LockShard(*shards_[std::countr_zero(m)]).release();
+  }
+  return ShardLocks(*this, mask);
 }
 
 void ConcurrentLockService::EmitStandalone(obs::Event event) {
@@ -326,7 +357,7 @@ Result<lock::TransactionId> ConcurrentLockService::Begin() {
       return admitted;
     }
   }
-  TxnRecord& rec = txns_.emplace_back();
+  TxnRecord& rec = txns_.Append();
   const auto tid = static_cast<lock::TransactionId>(txns_.size());
   rec.begin_ts = next_ts_++;
   ++live_txns_;
@@ -470,10 +501,13 @@ Result<lock::RequestOutcome> ConcurrentLockService::Register(
   const size_t shard_index = ShardIndex(rid);
   Shard& shard = *shards_[shard_index];
   *sl = LockShard(shard);
+  if (shard.ops % kHoldSample != 0) {
+    return RegisterLocked(tid, rid, mode, shard_index, rec);
+  }
   common::Stopwatch hold;
   Result<lock::RequestOutcome> outcome =
       RegisterLocked(tid, rid, mode, shard_index, rec);
-  shard.hold_ns += static_cast<uint64_t>(hold.ElapsedNanos());
+  shard.hold_ns += kHoldSample * static_cast<uint64_t>(hold.ElapsedNanos());
   return outcome;
 }
 
@@ -533,17 +567,9 @@ Result<lock::RequestOutcome> ConcurrentLockService::RegisterLocked(
   Result<lock::RequestOutcome> result = shard.lm.Acquire(tid, rid, mode);
   if (!result.ok()) return result.status();
   rec->ops_executed++;
+  if (*result == lock::RequestOutcome::kGranted) rec->locks_granted++;
   RefreshCostLocked(tid, *rec);
-  switch (*result) {
-    case lock::RequestOutcome::kGranted:
-      rec->locks_granted++;
-      RefreshCostLocked(tid, *rec);
-      return result;
-    case lock::RequestOutcome::kAlreadyHeld:
-      return result;
-    case lock::RequestOutcome::kBlocked:
-      break;
-  }
+  if (*result != lock::RequestOutcome::kBlocked) return result;
   rec->state.store(TxnState::kBlocked, std::memory_order_relaxed);
   ++blocked_txns_;
   if (continuous_ == nullptr) return result;
@@ -660,9 +686,16 @@ Status ConcurrentLockService::Terminate(lock::TransactionId tid, bool commit) {
     mask = rec->shard_mask;
   }
 
-  common::Stopwatch hold;
-  std::vector<std::unique_lock<std::mutex>> shard_locks =
-      LockShards(mask, hold);
+  ShardLocks shard_locks = LockShards(mask);
+  // Sampled hold timing (ShardStats::hold_ns): time this critical section
+  // only for the shards it brings to a multiple of kHoldSample operations.
+  uint64_t sampled = 0;
+  for (uint64_t m = mask; m != 0; m &= m - 1) {
+    const int s = std::countr_zero(m);
+    if (shards_[s]->ops % kHoldSample == 0) sampled |= uint64_t{1} << s;
+  }
+  std::optional<common::Stopwatch> hold;
+  if (sampled != 0) hold.emplace();
   {
     std::scoped_lock tl(txn_mu_);
     // Records are never removed: the peek above found this one.
@@ -710,14 +743,16 @@ Status ConcurrentLockService::Terminate(lock::TransactionId tid, bool commit) {
       shards_[s]->cv.notify_all();
     }
   }
-  // Attribute the critical section to every shard held through it (all
-  // were held for its whole duration; the locks are still owned here).
-  const uint64_t hold_ns = static_cast<uint64_t>(hold.ElapsedNanos());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if ((mask & (uint64_t{1} << s)) == 0) continue;
-    shards_[s]->hold_ns += hold_ns;
+  // Attribute the sample to every shard it samples (all were held for
+  // its whole duration; the locks are still owned here).
+  if (sampled != 0) {
+    const uint64_t hold_ns =
+        kHoldSample * static_cast<uint64_t>(hold->ElapsedNanos());
+    for (uint64_t m = sampled; m != 0; m &= m - 1) {
+      shards_[std::countr_zero(m)]->hold_ns += hold_ns;
+    }
   }
-  shard_locks.clear();
+  shard_locks.Unlock();
   return Status::OK();
 }
 
@@ -727,7 +762,9 @@ std::vector<lock::TransactionId> ConcurrentLockService::ReleaseAllShardsLocked(
   // released in global ascending-rid order — the exact order a single
   // lock manager's ReleaseAll would use, so the kLockWakeup stream (and
   // hence the recorded linearization) matches the sequential engine.
-  std::vector<lock::ResourceId> rids;
+  // Inline capacity covers a typical transaction without a heap
+  // allocation.
+  common::SmallVector<lock::ResourceId, 16> rids;
   bool known = false;
   bool was_blocked = false;
   for (size_t s = 0; s < shards_.size(); ++s) {
@@ -736,7 +773,7 @@ std::vector<lock::TransactionId> ConcurrentLockService::ReleaseAllShardsLocked(
     if (info == nullptr) continue;
     known = true;
     was_blocked |= info->blocked_on.has_value();
-    rids.insert(rids.end(), info->touched.begin(), info->touched.end());
+    for (lock::ResourceId rid : info->touched) rids.push_back(rid);
   }
   if (!known) return {};  // mirror ReleaseAll: unknown tid emits nothing
   // The per-rid ReleaseOn path closes only the *granted* waiters' spans
@@ -786,9 +823,8 @@ core::ResolutionReport ConcurrentLockService::RunStopTheWorldPass() {
   // two application operations, which is what makes the recorded event
   // stream replayable against the sequential engine.
   common::Stopwatch pause;
+  ShardLocks shard_locks = LockShards(~uint64_t{0});
   common::Stopwatch hold;
-  std::vector<std::unique_lock<std::mutex>> shard_locks =
-      LockShards(~uint64_t{0}, hold);
   core::ResolutionReport report;
   {
     std::scoped_lock tl(txn_mu_);
@@ -928,9 +964,8 @@ core::ResolutionReport ConcurrentLockService::RunPauselessPass() {
   // cycle, if it persists, cannot mutate further (every member is
   // blocked) and re-derives cleanly next pass.
   common::Stopwatch apply_pause;
+  ShardLocks shard_locks = LockShards(~uint64_t{0});
   common::Stopwatch hold;
-  std::vector<std::unique_lock<std::mutex>> shard_locks =
-      LockShards(~uint64_t{0}, hold);
   const uint64_t lag_ns = static_cast<uint64_t>(seal_clock.ElapsedNanos());
   core::ResolutionReport report;
   {
@@ -1115,9 +1150,8 @@ core::ResolutionReport ConcurrentLockService::RunPauselessPass() {
 
 core::ResolutionReport ConcurrentLockService::RunTimeoutSweep() {
   common::Stopwatch pause;
+  ShardLocks shard_locks = LockShards(~uint64_t{0});
   common::Stopwatch hold;
-  std::vector<std::unique_lock<std::mutex>> shard_locks =
-      LockShards(~uint64_t{0}, hold);
   core::ResolutionReport report;
   {
     std::scoped_lock tl(txn_mu_);
@@ -1190,16 +1224,15 @@ core::ResolutionReport ConcurrentLockService::RunTimeoutSweep() {
   return report;
 }
 
-void ConcurrentLockService::UnlockAllShards(
-    std::vector<std::unique_lock<std::mutex>>& shard_locks,
-    const common::Stopwatch& hold) {
+void ConcurrentLockService::UnlockAllShards(ShardLocks& shard_locks,
+                                            const common::Stopwatch& hold) {
   // Every shard was held for the whole critical section.
   const uint64_t hold_ns = static_cast<uint64_t>(hold.ElapsedNanos());
   for (auto& shard : shards_) {
     shard->hold_ns += hold_ns;
     shard->cv.notify_all();
   }
-  shard_locks.clear();
+  shard_locks.Unlock();
 }
 
 void ConcurrentLockService::RecordFullPassPause(uint64_t pause_ns) {
@@ -1411,12 +1444,12 @@ void ConcurrentLockService::UpdateSchedulerAfterPass(
 }
 
 Result<TxnState> ConcurrentLockService::State(lock::TransactionId tid) const {
-  std::scoped_lock tl(txn_mu_);
-  const TxnRecord* rec = FindTxnLocked(tid);
-  if (rec == nullptr) {
+  // No txn_mu_: size() publishes every record below it (TxnTable), and
+  // `state` is atomic.
+  if (tid == lock::kInvalidTransaction || tid > txns_.size()) {
     return Status::NotFound(common::Format("unknown transaction T%u", tid));
   }
-  return rec->state.load(std::memory_order_relaxed);
+  return txns_[tid - 1].state.load(std::memory_order_relaxed);
 }
 
 size_t ConcurrentLockService::live_transactions() const {
@@ -1430,9 +1463,7 @@ Result<bool> ConcurrentLockService::HasDeadlock() {
         "HasDeadlock requires num_shards == 1 (merged multi-shard graph "
         "construction is not implemented)");
   }
-  common::Stopwatch hold;
-  std::vector<std::unique_lock<std::mutex>> shard_locks =
-      LockShards(~uint64_t{0}, hold);
+  ShardLocks shard_locks = LockShards(~uint64_t{0});
   return core::HwTwbg::Build(shards_[0]->lm.table()).HasCycle();
 }
 
@@ -1440,9 +1471,7 @@ Result<std::string> ConcurrentLockService::RenderView(ServiceView view) {
   // Stop the world so the rendering is a consistent snapshot, then build
   // the view off the (single) live table.  The formats deliberately match
   // core::ScriptRunner's commands — see ServiceView.
-  common::Stopwatch hold;
-  std::vector<std::unique_lock<std::mutex>> shard_locks =
-      LockShards(~uint64_t{0}, hold);
+  ShardLocks shard_locks = LockShards(~uint64_t{0});
 
   if (view == ServiceView::kTable) {
     if (shards_.size() == 1) return shards_[0]->lm.table().ToString();
@@ -1546,9 +1575,7 @@ std::vector<uint64_t> ConcurrentLockService::detection_lag_ns() const {
 
 Status ConcurrentLockService::CheckInvariants(bool deep) {
   // Stop the world so the cross-shard picture is consistent.
-  common::Stopwatch hold;
-  std::vector<std::unique_lock<std::mutex>> shard_locks =
-      LockShards(~uint64_t{0}, hold);
+  ShardLocks shard_locks = LockShards(~uint64_t{0});
   std::scoped_lock tl(txn_mu_);
   for (size_t s = 0; s < shards_.size(); ++s) {
     Status status = shards_[s]->lm.CheckInvariants(deep);
@@ -1613,9 +1640,7 @@ Status ConcurrentLockService::CheckInvariants(bool deep) {
 
 std::string ConcurrentLockService::DebugDump() {
   std::string out;
-  common::Stopwatch hold;
-  std::vector<std::unique_lock<std::mutex>> shard_locks =
-      LockShards(~uint64_t{0}, hold);
+  ShardLocks shard_locks = LockShards(~uint64_t{0});
   std::scoped_lock tl(txn_mu_);
   for (size_t s = 0; s < shards_.size(); ++s) {
     out += common::Format("shard %zu:\n", s);

@@ -95,9 +95,9 @@
 #define TWBG_TXN_CONCURRENT_SERVICE_H_
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <condition_variable>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -228,7 +228,13 @@ struct ShardStats {
   uint64_t acquire_waits = 0;
   /// Operations routed to the shard (acquires, releases, passes).
   uint64_t ops = 0;
-  /// Total shard-mutex hold time, nanoseconds.
+  /// Estimated total shard-mutex hold time, nanoseconds.  Passes,
+  /// publishes and degraded sweeps are timed exactly.  A client critical
+  /// section (an acquire's registration, a commit's or abort's release)
+  /// is timed only when it brings `ops` to a multiple of 16, and that
+  /// sample is charged 16 times: timing every one read the clock twice
+  /// per acquire and three times per commit, a large share of the
+  /// uncontended critical section it measured.
   uint64_t hold_ns = 0;
 };
 
@@ -334,7 +340,10 @@ class ConcurrentLockService {
   /// Aborts voluntarily and releases; wakes any waiter this unblocks.
   Status Abort(lock::TransactionId tid);
 
-  /// Snapshot of a transaction's state.
+  /// Snapshot of a transaction's state; kNotFound for tid 0 and any tid
+  /// Begin has not issued.  Takes no lock: safe from any thread at any
+  /// time, concurrent with every other call, and a tid's state only moves
+  /// forward between calls (never from terminated back to live).
   Result<TxnState> State(lock::TransactionId tid) const;
 
   /// Number of deadlock victims so far (detector-chosen aborts only;
@@ -460,7 +469,7 @@ class ConcurrentLockService {
 
   // Per-transaction record (guarded by txn_mu_; `state` is additionally
   // atomic because waiter wake predicates read it under the shard mutex
-  // only).
+  // only, and State reads it with no lock).
   struct TxnRecord {
     std::atomic<TxnState> state{TxnState::kActive};
     uint64_t begin_ts = 0;
@@ -482,7 +491,69 @@ class ConcurrentLockService {
     uint64_t shard_mask = 0;
   };
 
+  // Every transaction ever begun, indexed by tid - 1: Begin issues tids
+  // densely from 1 and appends their records, so a lookup is an index.
+  // Chunk c holds kFirstChunk << c records; its storage is allocated when
+  // the first of them is issued and each record is constructed when its
+  // tid is, so resident memory follows the tids issued.  Chunks never
+  // move, so a record's address is fixed for the service's lifetime —
+  // AcquireBlocking parks holding a TxnRecord* while other threads Begin.
+  // Append runs under txn_mu_ and publishes the new length with release
+  // order once the record is built, so a reader that loads size() may
+  // index any record below it with no lock.  State reads `state` that
+  // way; every other access holds txn_mu_.
+  class TxnTable {
+   public:
+    TxnTable() = default;
+    TxnTable(const TxnTable&) = delete;
+    TxnTable& operator=(const TxnTable&) = delete;
+    ~TxnTable();
+
+    size_t size() const { return size_.load(std::memory_order_acquire); }
+    // The record at `index`, which must be below size().
+    TxnRecord& operator[](size_t index) const {
+      const size_t slot = index + kFirstChunk;
+      const int chunk = std::bit_width(slot) - 1 - kFirstChunkLog2;
+      return chunks_[chunk][slot - (kFirstChunk << chunk)];
+    }
+    // Constructs the next record and publishes it (txn_mu_ held).
+    TxnRecord& Append();
+
+   private:
+    static constexpr int kFirstChunkLog2 = 6;
+    static constexpr size_t kFirstChunk = size_t{1} << kFirstChunkLog2;
+    // Enough chunks for every 32-bit tid.
+    static constexpr int kMaxChunks = 33 - kFirstChunkLog2;
+
+    TxnRecord* chunks_[kMaxChunks] = {};
+    std::atomic<size_t> size_{0};
+  };
+
+  // The shard mutexes of one multi-shard critical section, held as a
+  // mask rather than a container, so taking them allocates nothing.
+  // LockShards locks them ascending; Unlock or the destructor releases
+  // them.
+  class ShardLocks {
+   public:
+    ShardLocks(const ShardLocks&) = delete;
+    ShardLocks& operator=(const ShardLocks&) = delete;
+    ~ShardLocks() { Unlock(); }
+    void Unlock();
+
+   private:
+    friend class ConcurrentLockService;
+    ShardLocks(const ConcurrentLockService& service, uint64_t mask)
+        : service_(service), mask_(mask) {}
+
+    const ConcurrentLockService& service_;
+    uint64_t mask_;
+  };
+
   class PassHost;  // core::ShardedDetectionHost over the shard set
+
+  // Client critical sections timed per shard (ShardStats::hold_ns): one
+  // in kHoldSample, charged kHoldSample times.
+  static constexpr uint64_t kHoldSample = 16;
 
   explicit ConcurrentLockService(ConcurrentServiceOptions options);
 
@@ -502,16 +573,15 @@ class ConcurrentLockService {
   // Locks `shard`, maintaining its contention counters.
   static std::unique_lock<std::mutex> LockShard(Shard& shard);
 
-  // Locks every shard whose mask bit is set, ascending, maintaining the
-  // contention counters.  `hold` starts timing once all are held.
-  std::vector<std::unique_lock<std::mutex>> LockShards(
-      uint64_t mask, common::Stopwatch& hold);
+  // Locks every shard whose mask bit is set (bits past the last shard are
+  // ignored), ascending, maintaining the contention counters.
+  ShardLocks LockShards(uint64_t mask);
 
   // The acquire registration shared by AcquireBlocking and AcquireAsync.
   // Locks `rid`'s shard into `*sl` and returns with it held, so a blocked
   // caller can park without missing a wakeup; `*rec` receives the
-  // transaction's record.  Times the critical section into the shard's
-  // hold counter around RegisterLocked.
+  // transaction's record.  Times the critical section around
+  // RegisterLocked when it is the shard's hold sample (kHoldSample).
   Result<lock::RequestOutcome> Register(lock::TransactionId tid,
                                         lock::ResourceId rid,
                                         lock::LockMode mode,
@@ -558,8 +628,7 @@ class ConcurrentLockService {
 
   // Ends an all-shard critical section (a pass or sweep): charges `hold`
   // to every shard, wakes every shard's waiters, releases `shard_locks`.
-  void UnlockAllShards(std::vector<std::unique_lock<std::mutex>>& shard_locks,
-                       const common::Stopwatch& hold);
+  void UnlockAllShards(ShardLocks& shard_locks, const common::Stopwatch& hold);
 
   // Records a full pass's client-visible pause; one over the pause
   // budget degrades the next scheduled passes to the timeout sweep.
@@ -625,15 +694,11 @@ class ConcurrentLockService {
   // under the one shard's mutex.  Null under kPeriodic.
   std::unique_ptr<core::ContinuousDetector> continuous_;
 
-  // Transaction table; guards txns_, wait_ends_, costs_, next_ts_,
-  // live_txns_, blocked_txns_ and deadlock_victims_.  Acquired after any
-  // shard mutexes, before obs_mu_.
+  // Transaction table; guards txns_ (but for State's lock-free reads),
+  // wait_ends_, costs_, next_ts_, live_txns_, blocked_txns_ and
+  // deadlock_victims_.  Acquired after any shard mutexes, before obs_mu_.
   mutable std::mutex txn_mu_;
-  // Every transaction ever begun, indexed by tid - 1: Begin issues tids
-  // densely from 1 and appends their records, so a lookup is an index.  A
-  // deque, because emplace_back never moves a record — AcquireBlocking
-  // parks holding a TxnRecord* while other threads Begin.  Append-only.
-  std::deque<TxnRecord> txns_;
+  TxnTable txns_;
   // OnWaitEnd completions of blocked transactions.  A side table, not a
   // TxnRecord field: txns_ keeps a record for every transaction ever
   // begun, and few of them are ever awaited.

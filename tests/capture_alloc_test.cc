@@ -11,7 +11,9 @@
 //   * steady-state create/erase churn on a LockTable recycles pooled
 //     states instead of allocating,
 //   * the fast-path Acquire of an uncontended lock allocates nothing
-//     once the transaction and resource footprints exist.
+//     once the transaction and resource footprints exist,
+//   * a steady-state client transaction on the sharded service (Begin,
+//     eight AcquireAsync, Commit over four shards) allocates nothing.
 //
 // The counter hooks this test binary's global operator new, so every
 // EXPECT below measures the whole process — run serially (gtest default)
@@ -26,6 +28,7 @@
 #include "lock/lock_manager.h"
 #include "lock/lock_table.h"
 #include "lock/resource_state.h"
+#include "txn/concurrent_service.h"
 #include "txn/epoch_snapshot.h"
 
 namespace {
@@ -195,6 +198,45 @@ TEST(CaptureAllocTest, UncontendedAcquireReleaseIsAllocFree) {
   }
   EXPECT_EQ(AllocCount(), before)
       << "uncontended acquire/release must ride the fast path alloc-free";
+}
+
+// The client call path of the sharded service: the commit takes its
+// shard locks as a mask and gathers its rids inline, and the transaction
+// table allocates only when a chunk fills, at power-of-two tid counts.
+TEST(CaptureAllocTest, SteadyStateServiceTransactionIsAllocFree) {
+  txn::ConcurrentServiceOptions options;
+  options.num_shards = 4;
+  options.detection_mode = txn::DetectionMode::kPeriodic;
+  auto created = txn::ConcurrentLockService::Create(options);
+  ASSERT_TRUE(created.ok());
+  txn::ConcurrentLockService& service = **created;
+  // Eight uncontended X locks a transaction, from 512 rids that spread
+  // over all four shards.
+  auto one_txn = [&](uint32_t round) {
+    const Result<lock::TransactionId> tid = service.Begin();
+    ASSERT_TRUE(tid.ok());
+    for (lock::ResourceId i = 1; i <= 8; ++i) {
+      const Result<lock::RequestOutcome> outcome =
+          service.AcquireAsync(*tid, (round % 64) * 8 + i, LockMode::kX);
+      ASSERT_TRUE(outcome.ok() && *outcome == lock::RequestOutcome::kGranted);
+    }
+    ASSERT_TRUE(service.Commit(*tid).ok());
+  };
+  // Warm every buffer: the shards' transaction and resource tables and
+  // pools, the cost table, and each shard's mutation journal, which
+  // grows until it has filled its retention ring and compacted (about
+  // 2^17 records a shard, four or so per transaction).
+  for (uint32_t round = 0; round < 50'000; ++round) one_txn(round);
+  for (size_t shard = 0; shard < 4; ++shard) {
+    ASSERT_GT(service.shard_stats(shard).ops, 0u);
+  }
+  // Tids 50,001 to 51,000 lie in one chunk of the transaction table
+  // (indices 32,704 to 65,471).
+  const uint64_t before = AllocCount();
+  for (uint32_t round = 0; round < 1'000; ++round) one_txn(round);
+  EXPECT_EQ(AllocCount(), before)
+      << "a steady-state Begin, 8 acquires and Commit must not allocate";
+  EXPECT_EQ(service.live_transactions(), 0u);
 }
 
 }  // namespace

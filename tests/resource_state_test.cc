@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <thread>
+#include <vector>
+
 #include "common/rng.h"
 
 namespace twbg::lock {
@@ -350,6 +354,35 @@ TEST(ResourceStateTest, RandomizedInvariants) {
       ASSERT_TRUE(invariants.ok()) << invariants.ToString();
     }
   }
+}
+
+// Version stamps come from per-thread blocks of one process-wide counter;
+// whatever the interleaving, no two stamps may be equal (a repeated stamp
+// would let a derived cache take a changed resource for an unchanged
+// one), and none is 0.
+TEST(ResourceStateTest, VersionStampsStayUniqueAcrossThreads) {
+  constexpr size_t kThreads = 8;
+  constexpr size_t kStamps = 100'000;
+  std::vector<std::vector<uint64_t>> stamps(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&stamps, t] {
+      stamps[t].reserve(kStamps);
+      for (size_t i = 0; i < kStamps; ++i) {
+        stamps[t].push_back(NextStateVersion());
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  std::vector<uint64_t> all;
+  for (const std::vector<uint64_t>& mine : stamps) {
+    all.insert(all.end(), mine.begin(), mine.end());
+  }
+  std::sort(all.begin(), all.end());
+  EXPECT_NE(all.front(), 0u);
+  EXPECT_EQ(std::adjacent_find(all.begin(), all.end()), all.end())
+      << "a version stamp was handed out twice";
+  EXPECT_EQ(all.size(), kThreads * kStamps);
 }
 
 }  // namespace
