@@ -198,7 +198,8 @@ void BM_SteadyStatePass(benchmark::State& state) {
   const size_t m = static_cast<size_t>(state.range(1));
   const bool incremental = state.range(2) != 0;
   lock::LockManager manager;
-  bench::SteadyState steady = bench::BuildSteadyState(manager, n, /*bulk=*/16);
+  bench::SteadyState steady =
+      bench::BuildSteadyState({&manager}, n, /*bulk=*/16);
   core::DetectorOptions options;
   options.incremental_build = incremental;
   core::PeriodicDetector detector(options);

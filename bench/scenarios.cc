@@ -76,29 +76,30 @@ void BuildQueueTail(lock::LockManager& manager, size_t q,
   }
 }
 
-SteadyState BuildSteadyState(lock::LockManager& manager, size_t num_resources,
-                             size_t bulk) {
+SteadyState BuildSteadyState(const std::vector<lock::LockManager*>& managers,
+                             size_t num_resources, size_t bulk) {
   TWBG_CHECK(num_resources >= 1);
-  for (size_t b = 1; b <= bulk; ++b) {
-    for (size_t r = 1; r <= num_resources; ++r) {
-      MustAcquire(manager, static_cast<lock::TransactionId>(b),
-                  static_cast<lock::ResourceId>(r), LockMode::kIS);
+  const auto acquire = [&](size_t tid, size_t rid, LockMode mode) {
+    for (lock::LockManager* manager : managers) {
+      MustAcquire(*manager, static_cast<lock::TransactionId>(tid),
+                  static_cast<lock::ResourceId>(rid), mode);
     }
+  };
+  for (size_t b = 1; b <= bulk; ++b) {
+    for (size_t r = 1; r <= num_resources; ++r) acquire(b, r, LockMode::kIS);
   }
   // Blocked X waiters on every 97th resource (they wait on the IS
   // holders forever; no cycle can form since holders never wait).
   const size_t num_waiters = (num_resources + 96) / 97;
   for (size_t w = 0; w < num_waiters; ++w) {
-    MustAcquire(manager, static_cast<lock::TransactionId>(bulk + 1 + w),
-                static_cast<lock::ResourceId>(w * 97 + 1), LockMode::kX);
+    acquire(bulk + 1 + w, w * 97 + 1, LockMode::kX);
   }
   SteadyState state;
   state.churn.reserve(num_resources);
   const size_t churn_base = bulk + num_waiters;
   for (size_t r = 1; r <= num_resources; ++r) {
-    const auto tid = static_cast<lock::TransactionId>(churn_base + r);
-    MustAcquire(manager, tid, static_cast<lock::ResourceId>(r), LockMode::kIS);
-    state.churn.push_back(tid);
+    acquire(churn_base + r, r, LockMode::kIS);
+    state.churn.push_back(static_cast<lock::TransactionId>(churn_base + r));
   }
   state.next_tid =
       static_cast<lock::TransactionId>(churn_base + num_resources + 1);

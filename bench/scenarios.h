@@ -53,8 +53,11 @@ struct SteadyState {
 /// so nothing blocks), plus one unique churn transaction per resource
 /// holding IS on just that resource.  Every 97th resource also gets one
 /// blocked X waiter, so passes see real W/H edges without any deadlock.
-SteadyState BuildSteadyState(lock::LockManager& manager, size_t num_resources,
-                             size_t bulk);
+/// Builds the same table in every manager of `managers`, each acquire
+/// applied to all of them in turn, so no manager's heap blocks sit
+/// together; the returned bookkeeping holds for each of them.
+SteadyState BuildSteadyState(const std::vector<lock::LockManager*>& managers,
+                             size_t num_resources, size_t bulk);
 
 /// Replaces the churn holder of `rid` with a fresh transaction
 /// (ReleaseAll + Acquire), dirtying exactly that one resource.

@@ -1,33 +1,42 @@
 // Copyright (c) the twbg authors. Licensed under the MIT license.
 //
-// Open-addressing hash map for the lock-table hot path.
+// Slot-stable hash map for the lock-table hot path.
 //
 // std::map's node-per-entry layout made every Acquire/Release walk a
-// pointer chase and every insert an allocation.  FlatMap keeps entries in
-// one dense vector and resolves keys through a power-of-two bucket array
-// of dense indices with linear probing — two contiguous arrays, zero
-// allocations per operation in steady state.
+// pointer chase and every insert an allocation.  FlatMap keeps its entries
+// in one slab (a vector of slots) and resolves keys through a power-of-two
+// bucket array; each bucket heads a singly linked chain threaded through
+// the slots by index.  Two contiguous arrays, no allocation per operation
+// in steady state.
 //
-// Deletion is tombstone-free: the dense slot is filled by swapping the
-// last entry in (O(1)), and the bucket hole is closed by backward-shift
-// deletion, so probe chains never accumulate dead buckets and lookup cost
-// stays bounded by load factor alone.
+// Entries never move while their key is present.  Erase unlinks the key's
+// slot from its chain and pushes the slot onto a free list; nothing else
+// is touched.  TryEmplace pops a freed slot before it grows the slab and
+// move-assigns a value-initialised V{} over the previous occupant, so a
+// reused slot reads exactly like a new one, while a SmallVector member
+// keeps its heap buffer through that assignment (a recycled
+// lock::ResourceState keeps its holder/queue capacity).
 //
-// Iteration contract: begin()/end() walk the dense array — insertion
-// order, except that Erase moves the last-inserted entry into the erased
-// slot.  The order is deterministic for a given operation sequence but is
-// NOT sorted; callers that need key order sort at the boundary (see
-// lock::LockTable's ordered-iteration seam).  Erasing during iteration
-// follows the swap-with-last contract: Erase(k) repositions the last
-// entry and pops the tail, so the only safe in-loop erase is over indices
-// descending, or collect-then-erase.  Pointers and iterators into the
-// dense array invalidate on insert (growth) and on erase (swap).
+// Pointer contract: a pointer to a value stays valid until its key is
+// erased, clear() runs or the slab grows (an insert that finds no freed
+// slot may reallocate it; Reserve sizes it up front).  Inserting or
+// erasing other keys, and rehashing the buckets, never moves a value.
+//
+// Iteration contract: begin()/end() visit the live entries in slot order,
+// skipping freed slots.  The order is deterministic for a given operation
+// sequence but is NOT sorted; callers that need key order sort at the
+// boundary (see lock::LockTable's ordered-iteration seam).  Erasing
+// during iteration is safe (it only frees a slot); inserting is not.  An
+// iteration costs O(slab), the most entries live at once since the last
+// clear().  A copy is two array copies.
 
 #ifndef TWBG_COMMON_FLAT_MAP_H_
 #define TWBG_COMMON_FLAT_MAP_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -54,143 +63,198 @@ class FlatMap {
     K key;
     V value;
   };
-  using iterator = typename std::vector<Entry>::iterator;
-  using const_iterator = typename std::vector<Entry>::const_iterator;
+
+ private:
+  // Links are slot indices + 1; 0 ends a chain or the free list.  A freed
+  // slot's link carries kFree, which is how iteration skips it.
+  static constexpr uint32_t kFree = 0x80000000u;
+
+  struct Slot {
+    // Next slot in the bucket chain (live) or in the free list (kFree set).
+    uint32_t link;
+    Entry entry;
+  };
+
+  template <typename SlotT, typename EntryT>
+  class Iter {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = Entry;
+    using difference_type = std::ptrdiff_t;
+    using pointer = EntryT*;
+    using reference = EntryT&;
+
+    Iter(SlotT* pos, SlotT* end) : pos_(pos), end_(end) { SkipFree(); }
+
+    reference operator*() const { return pos_->entry; }
+    pointer operator->() const { return &pos_->entry; }
+    Iter& operator++() {
+      ++pos_;
+      SkipFree();
+      return *this;
+    }
+    bool operator==(const Iter& other) const { return pos_ == other.pos_; }
+
+   private:
+    void SkipFree() {
+      while (pos_ != end_ && (pos_->link & kFree) != 0) ++pos_;
+    }
+
+    SlotT* pos_;
+    SlotT* end_;
+  };
+
+ public:
+  using iterator = Iter<Slot, Entry>;
+  using const_iterator = Iter<const Slot, const Entry>;
 
   FlatMap() = default;
-
-  size_t size() const { return entries_.size(); }
-  bool empty() const { return entries_.empty(); }
-
-  iterator begin() { return entries_.begin(); }
-  iterator end() { return entries_.end(); }
-  const_iterator begin() const { return entries_.begin(); }
-  const_iterator end() const { return entries_.end(); }
-
-  /// The dense entry array itself (insertion-then-swap order; see the
-  /// iteration contract above).
-  const std::vector<Entry>& entries() const { return entries_; }
-
-  void clear() {
-    entries_.clear();
-    std::fill(buckets_.begin(), buckets_.end(), kEmpty);
+  FlatMap(const FlatMap&) = default;
+  FlatMap& operator=(const FlatMap&) = default;
+  // A moved-from map is empty, counters included.
+  FlatMap(FlatMap&& other) noexcept { *this = std::move(other); }
+  FlatMap& operator=(FlatMap&& other) noexcept {
+    if (this == &other) return *this;
+    slots_ = std::move(other.slots_);
+    buckets_ = std::move(other.buckets_);
+    mask_ = std::exchange(other.mask_, 0);
+    free_ = std::exchange(other.free_, 0);
+    size_ = std::exchange(other.size_, 0);
+    other.slots_.clear();
+    other.buckets_.clear();
+    return *this;
   }
 
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+
+  iterator begin() { return {slots_.data(), slots_.data() + slots_.size()}; }
+  iterator end() {
+    Slot* last = slots_.data() + slots_.size();
+    return {last, last};
+  }
+  const_iterator begin() const {
+    return {slots_.data(), slots_.data() + slots_.size()};
+  }
+  const_iterator end() const {
+    const Slot* last = slots_.data() + slots_.size();
+    return {last, last};
+  }
+
+  /// Drops every entry and the slab (values are destroyed); the bucket
+  /// array keeps its size.
+  void clear() {
+    slots_.clear();
+    std::fill(buckets_.begin(), buckets_.end(), 0);
+    free_ = 0;
+    size_ = 0;
+  }
+
+  /// Sizes the slab and the buckets for `n` entries, so the first `n`
+  /// inserts neither move a value nor rehash.
   void Reserve(size_t n) {
-    entries_.reserve(n);
-    if (n * 8 >= buckets_.size() * 7) Rehash(NextPow2(n + n / 4 + 8));
+    slots_.reserve(n);
+    if (n * 2 > buckets_.size()) Rehash(NextPow2(n * 2));
   }
 
   V* Find(const K& key) {
-    const size_t b = FindBucket(key);
-    return b == kNoBucket ? nullptr : &entries_[buckets_[b] - 1].value;
+    const uint32_t s = FindSlot(key);
+    return s == 0 ? nullptr : &slots_[s - 1].entry.value;
   }
 
   const V* Find(const K& key) const {
-    const size_t b = FindBucket(key);
-    return b == kNoBucket ? nullptr : &entries_[buckets_[b] - 1].value;
+    const uint32_t s = FindSlot(key);
+    return s == 0 ? nullptr : &slots_[s - 1].entry.value;
   }
 
-  bool Contains(const K& key) const { return FindBucket(key) != kNoBucket; }
+  bool Contains(const K& key) const { return FindSlot(key) != 0; }
 
-  /// Finds `key`, default-constructing its value if absent.  Returns
-  /// {value pointer, inserted?}.
+  /// Finds `key`, inserting it with a value-initialised V{} if absent.
+  /// Returns {value pointer, inserted?}.
   std::pair<V*, bool> TryEmplace(const K& key) {
-    MaybeGrow();
-    size_t idx = Hash{}(key)&mask_;
-    for (;;) {
-      const uint32_t slot = buckets_[idx];
-      if (slot == kEmpty) {
-        entries_.push_back(Entry{key, V{}});
-        buckets_[idx] = static_cast<uint32_t>(entries_.size());
-        return {&entries_.back().value, true};
+    if (buckets_.empty()) Rehash(kMinBuckets);
+    const size_t hash = Hash{}(key);
+    for (uint32_t s = buckets_[hash & mask_]; s != 0; s = slots_[s - 1].link) {
+      if (slots_[s - 1].entry.key == key) {
+        return {&slots_[s - 1].entry.value, false};
       }
-      if (entries_[slot - 1].key == key) {
-        return {&entries_[slot - 1].value, false};
-      }
-      idx = (idx + 1) & mask_;
     }
+    if ((size_ + 1) * 2 > buckets_.size()) Rehash(buckets_.size() * 2);
+    uint32_t s = free_;
+    if (s != 0) {
+      Slot& reused = slots_[s - 1];
+      free_ = reused.link & ~kFree;
+      reused.entry.key = key;
+      reused.entry.value = V{};
+    } else {
+      TWBG_CHECK(slots_.size() < kFree - 1);
+      slots_.push_back(Slot{0, Entry{key, V{}}});
+      s = static_cast<uint32_t>(slots_.size());
+    }
+    uint32_t& head = buckets_[hash & mask_];
+    slots_[s - 1].link = head;
+    head = s;
+    ++size_;
+    return {&slots_[s - 1].entry.value, true};
   }
 
   V& operator[](const K& key) { return *TryEmplace(key).first; }
 
-  /// Erases `key`.  O(1): the last dense entry is swapped into the hole
-  /// and the bucket chain is repaired by backward shift.  Returns true if
-  /// the key was present.
+  /// Erases `key`: unlinks its slot and frees it for reuse; no other entry
+  /// moves.  Returns true if the key was present.
   bool Erase(const K& key) {
-    const size_t b = FindBucket(key);
-    if (b == kNoBucket) return false;
-    const size_t dense = buckets_[b] - 1;
-    const size_t last = entries_.size() - 1;
-    if (dense != last) {
-      entries_[dense] = std::move(entries_[last]);
-      // Repoint the moved entry's bucket.  Its probe chain may pass
-      // through `b`, but `b` still holds the erased entry's (different)
-      // index, so matching on the dense index is unambiguous.
-      size_t idx = Hash{}(entries_[dense].key) & mask_;
-      while (buckets_[idx] != last + 1) idx = (idx + 1) & mask_;
-      buckets_[idx] = static_cast<uint32_t>(dense + 1);
-    }
-    entries_.pop_back();
-    // Backward-shift deletion: close the hole at `b` by sliding down any
-    // entry whose home bucket lies outside (hole, probe] — keeps every
-    // probe chain gap-free without tombstones.
-    size_t hole = b;
-    size_t idx = (hole + 1) & mask_;
-    while (buckets_[idx] != kEmpty) {
-      const size_t home = Hash{}(entries_[buckets_[idx] - 1].key) & mask_;
-      if (((idx - home) & mask_) >= ((idx - hole) & mask_)) {
-        buckets_[hole] = buckets_[idx];
-        hole = idx;
+    if (size_ == 0) return false;
+    uint32_t* link = &buckets_[Hash{}(key) & mask_];
+    while (*link != 0) {
+      const uint32_t s = *link;
+      Slot& slot = slots_[s - 1];
+      if (slot.entry.key == key) {
+        *link = slot.link;
+        slot.link = kFree | free_;
+        free_ = s;
+        --size_;
+        return true;
       }
-      idx = (idx + 1) & mask_;
+      link = &slot.link;
     }
-    buckets_[hole] = kEmpty;
-    return true;
+    return false;
   }
 
  private:
-  static constexpr uint32_t kEmpty = 0;
-  static constexpr size_t kNoBucket = static_cast<size_t>(-1);
+  static constexpr size_t kMinBuckets = 16;
 
   static size_t NextPow2(size_t n) {
-    size_t p = 16;
+    size_t p = kMinBuckets;
     while (p < n) p *= 2;
     return p;
   }
 
-  size_t FindBucket(const K& key) const {
-    if (entries_.empty()) return kNoBucket;
-    size_t idx = Hash{}(key)&mask_;
-    for (;;) {
-      const uint32_t slot = buckets_[idx];
-      if (slot == kEmpty) return kNoBucket;
-      if (entries_[slot - 1].key == key) return idx;
-      idx = (idx + 1) & mask_;
+  // Slot index + 1 of `key`, or 0 when absent.
+  uint32_t FindSlot(const K& key) const {
+    if (size_ == 0) return 0;
+    uint32_t s = buckets_[Hash{}(key) & mask_];
+    while (s != 0 && !(slots_[s - 1].entry.key == key)) s = slots_[s - 1].link;
+    return s;
+  }
+
+  // Rebuilds the chains over `n` buckets; slots stay where they are.
+  void Rehash(size_t n) {
+    buckets_.assign(n, 0);
+    mask_ = n - 1;
+    for (size_t i = 0; i < slots_.size(); ++i) {
+      Slot& slot = slots_[i];
+      if ((slot.link & kFree) != 0) continue;
+      uint32_t& head = buckets_[Hash{}(slot.entry.key) & mask_];
+      slot.link = head;
+      head = static_cast<uint32_t>(i + 1);
     }
   }
 
-  void MaybeGrow() {
-    if (buckets_.empty()) {
-      Rehash(16);
-    } else if ((entries_.size() + 1) * 8 >= buckets_.size() * 7) {
-      Rehash(buckets_.size() * 2);
-    }
-  }
-
-  void Rehash(size_t new_buckets) {
-    buckets_.assign(new_buckets, kEmpty);
-    mask_ = new_buckets - 1;
-    for (size_t i = 0; i < entries_.size(); ++i) {
-      size_t idx = Hash{}(entries_[i].key) & mask_;
-      while (buckets_[idx] != kEmpty) idx = (idx + 1) & mask_;
-      buckets_[idx] = static_cast<uint32_t>(i + 1);
-    }
-  }
-
-  std::vector<Entry> entries_;
+  std::vector<Slot> slots_;
   std::vector<uint32_t> buckets_;
   size_t mask_ = 0;
+  uint32_t free_ = 0;  // head of the free list
+  size_t size_ = 0;    // live entries
 };
 
 }  // namespace twbg::common

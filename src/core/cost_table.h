@@ -5,11 +5,13 @@
 // and I/O time consumed, ...") and assumes a cost-table Cost(Ti); this is
 // that table.  The simulator wires lock counts / work done into it.
 //
-// Storage is a flat hash map (common/flat_map.h): the pauseless pass
-// snapshots the table once per pass and the component-parallel walk hands
-// every component a private copy, so a copy is two array copies and a
-// lookup is one probe.  Nothing depends on the order the entries are
-// stored in.
+// Storage is a slot-stable flat hash map (common/flat_map.h): the
+// pauseless pass snapshots the table once per pass and the
+// component-parallel walk hands every component a private copy, so a copy
+// is two array copies (freed slots included) and a lookup is one chain
+// walk.  A Begin inserts and a Commit erases, reusing freed slots, so the
+// table allocates nothing in steady state.  Nothing depends on the order
+// the entries are stored in.
 
 #ifndef TWBG_CORE_COST_TABLE_H_
 #define TWBG_CORE_COST_TABLE_H_

@@ -45,6 +45,14 @@ class PeriodicDetector {
 
   const DetectorOptions& options() const { return options_; }
 
+  /// Points later passes at another event bus and span tracer (the
+  /// options' event_bus and span_tracer; either may be null).  The
+  /// incremental Step 1 state is kept.
+  void set_observers(obs::EventBus* bus, obs::SpanTracer* tracer) {
+    options_.event_bus = bus;
+    options_.span_tracer = tracer;
+  }
+
  private:
   DetectorOptions options_;
   TstBuilder builder_;

@@ -239,7 +239,7 @@ uint64_t LockManager::WaitStarted(TransactionId tid) const {
 std::vector<TransactionId> LockManager::KnownTransactions() const {
   std::vector<TransactionId> out;
   out.reserve(txns_.size());
-  for (const auto& entry : txns_.entries()) out.push_back(entry.key);
+  for (const auto& entry : txns_) out.push_back(entry.key);
   std::sort(out.begin(), out.end());
   return out;
 }

@@ -8,16 +8,20 @@
 // The lock manager does not detect deadlocks itself; detectors (core/ and
 // baselines/) read and, for resolution, mutate it through this interface.
 //
-// Bookkeeping storage mirrors the lock table's layout: a flat hash table
-// of TxnLockInfo keyed by transaction id (common/flat_map.h), unordered —
-// the cold ordered sweep (KnownTransactions) sorts on demand — and an
-// inline-capacity sorted set for each transaction's touched-resource list:
-// under strict 2PL a transaction rarely touches more than a handful of
-// resources, so the Acquire/Release hot path stays allocation-free.  The
-// blocked transactions are kept apart in an ascending vector, updated
-// where a transaction blocks and wherever it stops being blocked, so the
-// readers that want only waiters (detection-pass publishes, admission
-// watermarks, timeout sweeps) never visit a runnable transaction.
+// Bookkeeping storage mirrors the lock table's layout: a slot-stable hash
+// map of TxnLockInfo keyed by transaction id (common/flat_map.h),
+// unordered — the cold ordered sweep (KnownTransactions) sorts on demand —
+// and an inline-capacity sorted set for each transaction's
+// touched-resource list: under strict 2PL a transaction rarely touches
+// more than a handful of resources, so the Acquire/Release hot path stays
+// allocation-free.  A new transaction may reuse the slot of one that
+// ended, and starts from a value-initialised TxnLockInfo: nothing of the
+// previous occupant (its touched set, its retained wait span) shows
+// through.  The blocked transactions are kept apart in an ascending
+// vector, updated where a transaction blocks and wherever it stops being
+// blocked, so the readers that want only waiters (detection-pass
+// publishes, admission watermarks, timeout sweeps) never visit a runnable
+// transaction.
 
 #ifndef TWBG_LOCK_LOCK_MANAGER_H_
 #define TWBG_LOCK_LOCK_MANAGER_H_

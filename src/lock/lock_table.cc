@@ -81,9 +81,7 @@ void LockTable::RefreshOrder() const {
   if (!order_dirty_) return;
   ordered_.clear();
   ordered_.reserve(resources_.size());
-  for (const auto& entry : resources_.entries()) {
-    ordered_.push_back(entry.key);
-  }
+  for (const auto& entry : resources_) ordered_.push_back(entry.key);
   std::sort(ordered_.begin(), ordered_.end());
   order_dirty_ = false;
 }
@@ -92,14 +90,9 @@ ResourceState& LockTable::GetOrCreate(ResourceId rid) {
   MarkDirty(rid);
   auto [slot, inserted] = resources_.TryEmplace(rid);
   if (inserted) {
+    // A reused slot keeps the holder/queue capacity its last occupant
+    // grew, so steady-state create/erase churn is allocation-free.
     order_dirty_ = true;
-    if (!pool_.empty()) {
-      // Recycle a pooled state: its holder/queue heap capacity survives
-      // the move-assign, so steady-state create/erase churn is alloc-free
-      // (beyond the hash table's own amortized growth).
-      *slot = std::move(pool_.back());
-      pool_.pop_back();
-    }
     slot->Reset(rid, policy_);
   }
   return *slot;
@@ -121,12 +114,9 @@ ResourceState* LockTable::FindMutableDeferred(ResourceId rid) {
 }
 
 void LockTable::EraseIfFree(ResourceId rid) {
-  ResourceState* state = resources_.Find(rid);
+  const ResourceState* state = resources_.Find(rid);
   if (state == nullptr || !state->IsFree()) return;
   MarkDirty(rid);
-  if (pool_.size() < kPoolCapacity) {
-    pool_.push_back(std::move(*state));
-  }
   resources_.Erase(rid);
   order_dirty_ = true;
 }

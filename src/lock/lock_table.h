@@ -4,17 +4,18 @@
 // currently locked resource.  Iteration order is deterministic (ordered by
 // ResourceId) so that detection passes and experiments are reproducible.
 //
-// Storage is an open-addressing flat hash table (common/flat_map.h): two
-// contiguous arrays instead of one rb-tree node per resource, so the
-// Acquire/Release hot path does no pointer chasing and, in steady state,
-// no allocation — erased ResourceStates are recycled through a free pool
-// that keeps their holder/queue capacity alive.  Because the hash table
-// itself iterates in insertion order, the deterministic rid order the
-// detectors and reports rely on lives in an *ordered-iteration seam*: a
-// lazily sorted rid index rebuilt only after an insert or erase changed
-// the membership.  begin()/end() iterate through that seam, so
-// `for (const auto& [rid, state] : table)` sees ascending rids exactly as
-// the std::map layout did.
+// Storage is a slot-stable flat hash map (common/flat_map.h): a slab of
+// states plus a bucket array instead of one rb-tree node per resource, so
+// the Acquire/Release hot path does no pointer chasing and, in steady
+// state, no allocation.  An erased state stays in its freed slot, and the
+// next GetOrCreate that reuses the slot Reset()s it: the holder/queue
+// capacity it had grown survives without a separate pool, and no state is
+// ever moved.  Because the hash map iterates in slot order, the
+// deterministic rid order the detectors and reports rely on lives in an
+// *ordered-iteration seam*: a lazily sorted rid index rebuilt only after
+// an insert or erase changed the membership.  begin()/end() iterate
+// through that seam, so `for (const auto& [rid, state] : table)` sees
+// ascending rids exactly as the std::map layout did.
 //
 // The table also keeps a *mutation journal* for derived caches (the
 // incremental ECR edge cache of core::GraphBuilder): every path that can
@@ -74,8 +75,8 @@ class LockTable {
   /// Journals a mutation of `rid` performed through FindMutableDeferred.
   void NoteMutation(ResourceId rid) { MarkDirty(rid); }
 
-  /// Drops the entry for `rid` if it is free (no holders, no queue).  The
-  /// state object is recycled into the free pool with its capacity.
+  /// Drops the entry for `rid` if it is free (no holders, no queue).  Its
+  /// slot, capacity included, is reused by a later GetOrCreate.
   void EraseIfFree(ResourceId rid);
 
   size_t size() const { return resources_.size(); }
@@ -153,9 +154,6 @@ class LockTable {
   // drops the oldest entries past the capacity (readers that fell that
   // far behind resynchronize with a full sweep).
   static constexpr size_t kJournalCapacity = 1u << 16;
-  // Free ResourceStates retained for recycling (capacity preservation);
-  // beyond this they are simply destroyed.
-  static constexpr size_t kPoolCapacity = 256;
 
   void MarkDirty(ResourceId rid);
   // Re-sorts the rid index if an insert/erase invalidated it.  Lazy and
@@ -169,9 +167,6 @@ class LockTable {
   // Ordered-iteration seam: ascending rids, rebuilt lazily when dirty.
   mutable std::vector<ResourceId> ordered_;
   mutable bool order_dirty_ = false;
-  // Free pool: erased states parked here keep their holder/queue capacity
-  // for the next GetOrCreate.
-  std::vector<ResourceState> pool_;
   uint64_t uid_ = NextTableUid();
   uint64_t seq_ = 0;
   // Sequence numbers at or below this were dropped from the journal.

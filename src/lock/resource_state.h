@@ -34,8 +34,8 @@ namespace twbg::lock {
 
 /// Holder-list / wait-queue storage: inline capacity covers the common
 /// case (a holder or two, a short queue), so steady-state lock traffic
-/// never allocates; hot resources spill to the heap and the LockTable's
-/// free pool keeps that capacity alive across erase/create cycles.
+/// never allocates; hot resources spill to the heap, and the LockTable's
+/// freed slots keep that capacity alive across erase/create cycles.
 using HolderList = common::SmallVector<HolderEntry, 4>;
 using WaitQueue = common::SmallVector<QueueEntry, 4>;
 
@@ -84,9 +84,8 @@ class ResourceState {
   ResourceState() : ResourceState(0) {}
 
   /// Re-initializes a recycled state as a fresh, free resource with a new
-  /// version stamp.  Holder/queue capacity is retained — this is how the
-  /// table's free pool keeps heap capacity alive across erase/create
-  /// cycles.
+  /// version stamp.  Holder/queue capacity is retained — this is how a
+  /// table slot keeps heap capacity alive across erase/create cycles.
   void Reset(ResourceId rid, AdmissionPolicy policy) {
     rid_ = rid;
     policy_ = policy;

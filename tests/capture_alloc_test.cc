@@ -8,8 +8,8 @@
 //     capacity (the PR-6 snapshot-staging contract),
 //   * a steady-state ShardSnapshot Capture+Fold round allocates nothing,
 //     also while waiters come and go,
-//   * steady-state create/erase churn on a LockTable recycles pooled
-//     states instead of allocating,
+//   * steady-state create/erase churn on a LockTable reuses freed slots,
+//     holder/queue capacity included, instead of allocating,
 //   * the fast-path Acquire of an uncontended lock allocates nothing
 //     once the transaction and resource footprints exist,
 //   * a steady-state client transaction on the sharded service (Begin,
@@ -100,7 +100,7 @@ TEST(CaptureAllocTest, SteadyStateCaptureAndFoldAreAllocFree) {
     (void)snapshot.Capture(lm);
     snapshot.Fold();
   };
-  // Warm every buffer: snapshot staging, mirror table, journals, pools.
+  // Warm every buffer: snapshot staging, mirror table, journals, slots.
   for (int i = 0; i < 200; ++i) one_round(4);
   const uint64_t before = AllocCount();
   for (int i = 0; i < 50; ++i) one_round(4);
@@ -153,9 +153,9 @@ TEST(CaptureAllocTest, SteadyStateCaptureWithWaiterChurnIsAllocFree) {
       << "steady-state capture+fold rounds must not allocate";
 }
 
-TEST(CaptureAllocTest, LockTableChurnRecyclesPooledStates) {
+TEST(CaptureAllocTest, LockTableChurnReusesFreedSlots) {
   lock::LockTable table;
-  // Warm the pool and the hash table across the rid range.  The round
+  // Warm the hash table's slots and buckets across the rid range.  The round
   // count is what it takes the mutation journal to fill its retention
   // ring and enter its compaction steady state — only then do appends
   // stop growing the backing vector.
@@ -181,12 +181,12 @@ TEST(CaptureAllocTest, LockTableChurnRecyclesPooledStates) {
     }
   }
   EXPECT_EQ(AllocCount(), before)
-      << "steady-state create/erase churn must recycle pooled states";
+      << "steady-state create/erase churn must reuse freed slots";
 }
 
 TEST(CaptureAllocTest, UncontendedAcquireReleaseIsAllocFree) {
   LockManager lm;
-  // Warm: the txn bookkeeping entry, its touched set, the resource pool.
+  // Warm: the txn bookkeeping entry, its touched set, the resource slot.
   for (int i = 0; i < 50; ++i) {
     ASSERT_TRUE(lm.Acquire(1, 5, LockMode::kX).ok());
     lm.ReleaseAll(1);
@@ -222,10 +222,10 @@ TEST(CaptureAllocTest, SteadyStateServiceTransactionIsAllocFree) {
     }
     ASSERT_TRUE(service.Commit(*tid).ok());
   };
-  // Warm every buffer: the shards' transaction and resource tables and
-  // pools, the cost table, and each shard's mutation journal, which
-  // grows until it has filled its retention ring and compacted (about
-  // 2^17 records a shard, four or so per transaction).
+  // Warm every buffer: the shards' transaction and resource tables, the
+  // cost table, and each shard's mutation journal, which grows until it
+  // has filled its retention ring and compacted (about 2^17 records a
+  // shard, four or so per transaction).
   for (uint32_t round = 0; round < 50'000; ++round) one_txn(round);
   for (size_t shard = 0; shard < 4; ++shard) {
     ASSERT_GT(service.shard_stats(shard).ops, 0u);

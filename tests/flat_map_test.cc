@@ -1,8 +1,9 @@
 // Copyright (c) the twbg authors. Licensed under the MIT license.
 //
 // FlatMap unit suite: lookup/insert/erase correctness, rehash behaviour,
-// the swap-with-last erase-during-iterate contract, and determinism of
-// the dense iteration order.
+// the slot-stability contract (values never move while their key is
+// present; a reused slot reads V{}), iteration over live slots, copies of
+// maps with freed slots, and determinism of the iteration order.
 
 #include "common/flat_map.h"
 
@@ -10,9 +11,11 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/small_vector.h"
 #include "gtest/gtest.h"
 
 namespace twbg::common {
@@ -43,32 +46,98 @@ TEST(FlatMapTest, InsertFindRoundTrip) {
   EXPECT_EQ(map.Find(3), nullptr);
 }
 
-TEST(FlatMapTest, EraseSwapsLastIntoHole) {
+TEST(FlatMapTest, ValueAddressSurvivesOtherErasesAndInserts) {
   FlatMap<uint32_t, int> map;
-  for (uint32_t k = 0; k < 4; ++k) map[k] = static_cast<int>(k * 10);
-  // Dense order is insertion order: 0, 1, 2, 3.
-  ASSERT_EQ(map.entries()[0].key, 0u);
-  EXPECT_TRUE(map.Erase(1));
-  // The documented contract: the last entry (key 3) fills the hole.
-  ASSERT_EQ(map.size(), 3u);
-  EXPECT_EQ(map.entries()[1].key, 3u);
-  EXPECT_EQ(map.entries()[1].value, 30);
-  // Everything still resolves.
-  EXPECT_EQ(*map.Find(0), 0);
-  EXPECT_EQ(*map.Find(2), 20);
-  EXPECT_EQ(*map.Find(3), 30);
-  EXPECT_EQ(map.Find(1), nullptr);
+  map.Reserve(64);  // no slab growth below, so no pointer may move
+  std::vector<int*> addr(32);
+  for (uint32_t k = 0; k < 32; ++k) {
+    addr[k] = map.TryEmplace(k).first;
+    *addr[k] = static_cast<int>(k * 10);
+  }
+  for (uint32_t k = 0; k < 32; k += 2) EXPECT_TRUE(map.Erase(k));
+  for (uint32_t k = 100; k < 132; ++k) map[k] = -1;  // reuses, then appends
+  for (uint32_t k = 1; k < 32; k += 2) {
+    EXPECT_EQ(map.Find(k), addr[k]) << k;
+    EXPECT_EQ(*addr[k], static_cast<int>(k * 10)) << k;
+  }
+  EXPECT_EQ(map.size(), 48u);
 }
 
-TEST(FlatMapTest, EraseLastEntryIsPlainPop) {
-  FlatMap<uint32_t, int> map;
-  map[1] = 10;
-  map[2] = 20;
-  EXPECT_TRUE(map.Erase(2));
-  ASSERT_EQ(map.size(), 1u);
-  EXPECT_EQ(map.entries()[0].key, 1u);
+TEST(FlatMapTest, ReusedSlotReadsValueInitialised) {
+  FlatMap<uint32_t, SmallVector<int, 2>> map;
+  SmallVector<int, 2>& first = map[1];
+  for (int i = 0; i < 10; ++i) first.push_back(i);  // spills to the heap
+  const size_t grown = first.capacity();
+  SmallVector<int, 2>* const slot = &first;
   EXPECT_TRUE(map.Erase(1));
-  EXPECT_TRUE(map.empty());
+  auto [reborn, inserted] = map.TryEmplace(2);
+  ASSERT_TRUE(inserted);
+  EXPECT_EQ(reborn, slot);  // the freed slot was reused
+  EXPECT_TRUE(reborn->empty());
+  EXPECT_EQ(reborn->capacity(), grown);  // V{} move-assign keeps the buffer
+  EXPECT_EQ(map.Find(1), nullptr);
+
+  FlatMap<uint32_t, std::pair<int, std::string>> pairs;
+  pairs[7] = {42, "stale"};
+  EXPECT_TRUE(pairs.Erase(7));
+  EXPECT_EQ(pairs[8], (std::pair<int, std::string>{}));
+}
+
+TEST(FlatMapTest, IterationVisitsExactlyTheLiveEntriesUnderChurn) {
+  FlatMap<uint32_t, uint64_t> map;
+  std::map<uint32_t, uint64_t> oracle;
+  Rng rng(0x51ab);
+  for (int step = 0; step < 20000; ++step) {
+    const uint32_t key = static_cast<uint32_t>(rng.NextBelow(300));
+    if (rng.NextBelow(2) == 0) {
+      map[key] = static_cast<uint64_t>(step);
+      oracle[key] = static_cast<uint64_t>(step);
+    } else {
+      EXPECT_EQ(map.Erase(key), oracle.erase(key) > 0);
+    }
+    if (step % 97 != 0) continue;
+    std::map<uint32_t, uint64_t> seen;
+    size_t visited = 0;
+    for (const auto& entry : map) {
+      ++visited;
+      seen[entry.key] = entry.value;
+    }
+    ASSERT_EQ(visited, oracle.size()) << "step " << step;
+    ASSERT_EQ(seen, oracle) << "step " << step;
+  }
+}
+
+TEST(FlatMapTest, CopyWithFreedSlotsIsIndependentAndEqual) {
+  FlatMap<uint32_t, std::string> map;
+  for (uint32_t k = 0; k < 40; ++k) map[k] = std::to_string(k);
+  for (uint32_t k = 0; k < 40; k += 3) map.Erase(k);  // leaves freed slots
+  FlatMap<uint32_t, std::string> copy = map;
+  const auto contents = [](const FlatMap<uint32_t, std::string>& m) {
+    std::map<uint32_t, std::string> out;
+    for (const auto& entry : m) out[entry.key] = entry.value;
+    return out;
+  };
+  const std::map<uint32_t, std::string> before = contents(map);
+  EXPECT_EQ(contents(copy), before);
+  EXPECT_EQ(copy.size(), map.size());
+
+  copy[100] = "new";  // lands in one of the copied freed slots
+  copy.Erase(1);
+  *copy.Find(2) = "changed";
+  EXPECT_EQ(contents(map), before);
+  EXPECT_EQ(map.Find(100), nullptr);
+
+  map[200] = "other";
+  map.Erase(4);
+  EXPECT_EQ(copy.Find(200), nullptr);
+  ASSERT_NE(copy.Find(4), nullptr);
+  EXPECT_EQ(*copy.Find(4), "4");
+  EXPECT_EQ(*copy.Find(2), "changed");
+
+  FlatMap<uint32_t, std::string> moved = std::move(copy);
+  EXPECT_TRUE(copy.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(copy.Find(2), nullptr);
+  EXPECT_EQ(*moved.Find(100), "new");
 }
 
 TEST(FlatMapTest, RehashPreservesAllEntries) {
@@ -147,10 +216,14 @@ TEST(FlatMapTest, IterationOrderIsDeterministic) {
   feed(a);
   feed(b);
   ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.entries().size(); ++i) {
-    EXPECT_EQ(a.entries()[i].key, b.entries()[i].key);
-    EXPECT_EQ(a.entries()[i].value, b.entries()[i].value);
+  auto it = b.begin();
+  for (const auto& entry : a) {
+    ASSERT_NE(it, b.end());
+    EXPECT_EQ(entry.key, it->key);
+    EXPECT_EQ(entry.value, it->value);
+    ++it;
   }
+  EXPECT_EQ(it, b.end());
 }
 
 TEST(FlatMapTest, CollectThenEraseDuringIteration) {

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -228,6 +229,40 @@ TEST(GraphBuilderTest, CopiesAndMovesKeepRefreshingOnTheJournal) {
     graph_builders.push_back(graph_builders.back());
   }
   EXPECT_EQ(builders.size(), 21u);
+}
+
+// A resource dropped from the cache frees its slot, and the next resource
+// the cache takes in reuses it.  It must rebuild from no participants and
+// no edges: with the previous occupant's list left in place, the
+// positional diff would see the same transactions before and after,
+// retain none of them and leave the vertex set short.
+TEST(GraphBuilderTest, ReusedCacheSlotRebuildsFromEmptyParticipants) {
+  LockManager lm;
+  GraphBuilder builder;
+  ASSERT_TRUE(lm.Acquire(1, 10, LockMode::kX).ok());
+  ASSERT_TRUE(lm.Acquire(2, 10, LockMode::kX).ok());  // T2 waits on R10
+  builder.Refresh(lm.table());
+  ASSERT_FALSE(builder.edge_lists().empty());
+  lm.ReleaseAll(2);
+  lm.ReleaseAll(1);  // R10 leaves the table, and then the cache
+  builder.Refresh(lm.table());
+  ASSERT_FALSE(builder.stats().full_sweep);
+  EXPECT_TRUE(builder.edge_lists().empty());
+  EXPECT_EQ(builder.left().size(), 2u);
+
+  // The same participants in the same order, on a new resource.
+  ASSERT_TRUE(lm.Acquire(1, 20, LockMode::kX).ok());
+  ASSERT_TRUE(lm.Acquire(2, 20, LockMode::kX).ok());
+  builder.Refresh(lm.table());
+  ASSERT_FALSE(builder.stats().full_sweep);
+  std::vector<lock::TransactionId> joined = builder.joined();
+  std::sort(joined.begin(), joined.end());
+  EXPECT_EQ(joined, (std::vector<lock::TransactionId>{1, 2}));
+  ASSERT_EQ(builder.changes().size(), 1u);
+  EXPECT_EQ(builder.changes()[0].rid, 20u);
+  EXPECT_EQ(builder.changes()[0].old_begin, builder.changes()[0].old_end);
+  EXPECT_EQ(builder.BuildGraph(lm.table()).ToString(),
+            HwTwbg::Build(lm.table()).ToString());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalBuildTest,

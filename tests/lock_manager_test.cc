@@ -194,6 +194,36 @@ TEST(LockManagerTest, BlockedSetFollowsEveryWayInAndOut) {
   ExpectBlockedSet(lm, {18});
 }
 
+// A new transaction's bookkeeping reuses the slot a finished one freed.
+// Nothing of the previous occupant may show through, above all not its
+// wait span, which the manager deliberately keeps past a wakeup.
+TEST(LockManagerTest, ReusedBookkeepingSlotStartsFresh) {
+  LockManager lm;
+  MustAcquire(lm, 1, 10, kX);
+  MustAcquire(lm, 2, 11, kX);
+  EXPECT_EQ(MustAcquire(lm, 2, 10, kX), RequestOutcome::kBlocked);
+  const TxnLockInfo* previous = lm.Info(2);
+  ASSERT_NE(previous, nullptr);
+  ASSERT_NE(previous->wait_span, 0u);
+  // The cross-shard abort path: release each resource, then forget.
+  lm.ReleaseOn(2, 10);
+  lm.ReleaseOn(2, 11);
+  lm.Forget(2);
+  ASSERT_EQ(lm.Info(2), nullptr);
+
+  EXPECT_EQ(MustAcquire(lm, 3, 12, kS), RequestOutcome::kGranted);
+  const TxnLockInfo* info = lm.Info(3);
+  EXPECT_EQ(info, previous);  // the freed slot was reused
+  EXPECT_EQ(std::vector<ResourceId>(info->touched.begin(), info->touched.end()),
+            std::vector<ResourceId>{12});
+  EXPECT_FALSE(info->blocked_on.has_value());
+  EXPECT_EQ(info->blocked_mode, kNL);
+  EXPECT_EQ(info->wait_span, 0u);
+  EXPECT_EQ(lm.WaitSpan(3), 0u);
+  EXPECT_TRUE(lm.BlockedTransactions().empty());
+  EXPECT_TRUE(lm.CheckInvariants().ok());
+}
+
 TEST(LockManagerTest, InvalidTransactionIdRejected) {
   LockManager lm;
   EXPECT_TRUE(lm.Acquire(0, 1, kS).status().IsInvalidArgument());

@@ -92,7 +92,7 @@ TEST(LockTableTest, OrderedIterationSurvivesChurn) {
 TEST(LockTableTest, RecycledStatesStartFresh) {
   LockTable table;
   // Spill R1's queue past the inline capacity, then free and erase it so
-  // the state lands in the pool with heap capacity.
+  // its slot keeps that heap capacity for the next resource.
   ResourceState& first = table.GetOrCreate(1);
   ASSERT_TRUE(first.Request(1, kX).ok());
   for (TransactionId tid = 2; tid <= 9; ++tid) {

@@ -15,6 +15,8 @@
 #include "core/oracle.h"
 #include "core/twbg.h"
 #include "lock/lock_manager.h"
+#include "obs/bus.h"
+#include "obs/sinks.h"
 
 namespace twbg::core {
 namespace {
@@ -205,6 +207,30 @@ TEST(PeriodicDetectorTest, SecondPassIsANoop) {
   EXPECT_EQ(second.cycles_detected, 0u);
   EXPECT_TRUE(second.aborted.empty());
   EXPECT_TRUE(second.repositioned.empty());
+}
+
+// Pointing a detector at another bus between passes moves the later
+// passes' events there and leaves the earlier bus alone.
+TEST(PeriodicDetectorTest, SetObserversMovesLaterPassesToTheNewBus) {
+  lock::LockManager lm;
+  BuildExample41(lm);
+  CostTable costs;
+  obs::EventBus first_bus;
+  obs::EventBus second_bus;
+  obs::CollectorSink first;
+  obs::CollectorSink second;
+  first_bus.Subscribe(&first);
+  second_bus.Subscribe(&second);
+  DetectorOptions options;
+  options.event_bus = &first_bus;
+  PeriodicDetector detector(options);
+  detector.RunPass(lm, costs);
+  EXPECT_EQ(first.Count(obs::EventKind::kPassStart), 1u);
+  detector.set_observers(&second_bus, nullptr);
+  EXPECT_EQ(detector.options().event_bus, &second_bus);
+  EXPECT_EQ(detector.RunPass(lm, costs).cycles_detected, 0u);
+  EXPECT_EQ(first.Count(obs::EventKind::kPassStart), 1u);
+  EXPECT_EQ(second.Count(obs::EventKind::kPassStart), 1u);
 }
 
 TEST(PeriodicDetectorTest, ReportStatsAndToString) {

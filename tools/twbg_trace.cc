@@ -205,7 +205,7 @@ int CmdChains(const std::vector<Event>& events, std::string* out) {
     // is ascending rid, so sort explicitly at the output boundary.
     std::vector<lock::ResourceId> rids;
     rids.reserve(waiting.size());
-    for (const auto& entry : waiting.entries()) rids.push_back(entry.key);
+    for (const auto& entry : waiting) rids.push_back(entry.key);
     std::sort(rids.begin(), rids.end());
     for (lock::ResourceId rid : rids) {
       std::vector<std::string> names;
@@ -258,7 +258,7 @@ int CmdHot(const std::vector<Event>& events, size_t top_k, std::string* out) {
   }
   std::vector<std::pair<lock::ResourceId, Contention>> rows;
   rows.reserve(per_rid.size());
-  for (const auto& entry : per_rid.entries()) {
+  for (const auto& entry : per_rid) {
     rows.emplace_back(entry.key, entry.value);
   }
   // The accumulator iterates in hash-table order; the ranking below ties
