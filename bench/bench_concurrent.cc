@@ -156,7 +156,6 @@ int main(int argc, char** argv) {
       options.num_shards = shards;
       options.detection_mode = txn::DetectionMode::kPeriodic;
       options.detection_period = std::chrono::milliseconds(1);
-      options.detection_threads = std::min<size_t>(shards, 4);
       Result<std::unique_ptr<txn::ConcurrentLockService>> service =
           txn::ConcurrentLockService::Create(options);
       TWBG_CHECK(service.ok());

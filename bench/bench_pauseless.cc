@@ -181,7 +181,6 @@ CellResult RunCell(size_t table_size, size_t shards, size_t threads,
     options.num_shards = shards;
     options.detection_mode = txn::DetectionMode::kPeriodic;
     options.snapshot_strategy = txn::SnapshotStrategy::kEpochDelta;
-    options.detection_threads = 2;
     Result<std::unique_ptr<txn::ConcurrentLockService>> service =
         txn::ConcurrentLockService::Create(options);
     TWBG_CHECK(service.ok());
@@ -199,7 +198,6 @@ CellResult RunCell(size_t table_size, size_t shards, size_t threads,
     options.num_shards = shards;
     options.detection_mode = txn::DetectionMode::kPeriodic;
     options.snapshot_strategy = txn::SnapshotStrategy::kStopTheWorld;
-    options.detection_threads = 2;
     Result<std::unique_ptr<txn::ConcurrentLockService>> service =
         txn::ConcurrentLockService::Create(options);
     TWBG_CHECK(service.ok());

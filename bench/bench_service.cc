@@ -244,7 +244,6 @@ int main(int argc, char** argv) {
   service_options.detection_mode = txn::DetectionMode::kPeriodic;
   service_options.num_shards = 8;
   service_options.detection_period = std::chrono::microseconds(1000);
-  service_options.detection_threads = 2;
   auto service = txn::ConcurrentLockService::Create(service_options);
   TWBG_CHECK(service.ok());
 

@@ -6,10 +6,8 @@
 // that table.  The simulator wires lock counts / work done into it.
 //
 // Storage is a slot-stable flat hash map (common/flat_map.h): the
-// pauseless pass snapshots the table once per pass and the
-// component-parallel walk hands every component a private copy, so a copy
-// is two array copies (freed slots included) and a lookup is one chain
-// walk.  A Begin inserts and a Commit erases, reusing freed slots, so the
+// pauseless pass snapshots the table once per pass, a copy is two array
+// copies (freed slots included), and a lookup is one chain walk.  A Begin inserts and a Commit erases, reusing freed slots, so the
 // table allocates nothing in steady state.  Nothing depends on the order
 // the entries are stored in.
 

@@ -27,9 +27,9 @@ namespace {
 // — whatever real deadlock hides behind the skew is re-derived from a
 // fresh capture next pass, mirroring how the pauseless apply phase drops
 // stale decisions.
-bool HandleCycle(size_t v, size_t w, lock::TransactionId root, Tst& tst,
-                 WalkHost& host, CostTable& costs,
-                 const DetectorOptions& options, WalkOutcome& outcome) {
+bool HandleCycle(size_t v, size_t w, Tst& tst, WalkHost& host,
+                 CostTable& costs, const DetectorOptions& options,
+                 WalkOutcome& outcome) {
   // Recover the cycle vertices in walk order w .. v.
   std::vector<size_t> reversed;
   size_t u = v;
@@ -191,7 +191,6 @@ bool HandleCycle(size_t v, size_t w, lock::TransactionId root, Tst& tst,
   decision.evidence = std::move(evidence);
   decision.applied_version = applied_version;
   outcome.decisions.push_back(std::move(decision));
-  outcome.decision_roots.push_back(root);
   ++outcome.cycles;
   return true;
 }
@@ -239,8 +238,8 @@ WalkOutcome RunWalk(Tst& tst, const std::vector<lock::TransactionId>& roots,
       }
       if (next.ancestor != 0) {
         // Closing edge: edge.to lies on the active path — a cycle.
-        if (HandleCycle(static_cast<size_t>(v), t, root, tst, host, costs,
-                        options, outcome)) {
+        if (HandleCycle(static_cast<size_t>(v), t, tst, host, costs, options,
+                        outcome)) {
           v = static_cast<int64_t>(t);  // resume at the re-entered vertex
         } else {
           ++entry.current;  // skew-inconsistent cycle dropped: skip edge

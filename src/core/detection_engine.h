@@ -5,11 +5,11 @@
 // ancestor/current bookkeeping, in-walk victim selection and application,
 // and the Step 3 abortion-list / change-list reconciliation.
 //
-// The walk and Step 3 talk to the live lock state through two small
-// interfaces (WalkHost, ResolutionHost) so the same engine serves a
-// single LockManager (the classic sequential pass), a sharded set of
-// managers (txn::ConcurrentLockService) and the component-parallel pass
-// (core/parallel_engine.h).
+// The walk and Step 3 talk to the lock state through two small interfaces
+// (WalkHost, ResolutionHost) so the same engine serves a single
+// LockManager (the classic sequential pass), a sharded set of managers
+// and the sealed epoch mirrors of the pauseless pass
+// (txn::ConcurrentLockService).
 
 #ifndef TWBG_CORE_DETECTION_ENGINE_H_
 #define TWBG_CORE_DETECTION_ENGINE_H_
@@ -29,7 +29,8 @@ namespace twbg::core {
 class WalkHost : public ResourceLookup, public WaitInfoLookup {
  public:
   /// Applies the TDR-2 repositioning on `rid` at `junction` (grants stay
-  /// deferred to Step 3) and, when observing, emits kUprReposition.
+  /// deferred to Step 3), journals the resource in its table and, when
+  /// the walk's bus is observing, emits one kUprReposition on it.
   virtual Status ApplyTdr2(lock::ResourceId rid,
                            lock::TransactionId junction) = 0;
 };
@@ -90,11 +91,6 @@ class LockManagerResolutionHost final : public ResolutionHost {
 /// Intermediate result of the Step 2 walk.
 struct WalkOutcome {
   std::vector<VictimDecision> decisions;
-  /// Root transaction (the walk's outer-loop variable) under which each
-  /// decision was made, parallel to `decisions`.  The component-parallel
-  /// pass merges per-component outcomes by ascending root id to reproduce
-  /// the sequential decision order exactly.
-  std::vector<lock::TransactionId> decision_roots;
   /// Per-cycle forensic records, parallel to `decisions`; empty unless
   /// post-mortems are enabled (see DetectorOptions::collect_post_mortems).
   std::vector<CyclePostMortem> post_mortems;

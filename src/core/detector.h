@@ -204,9 +204,9 @@ struct DetectorOptions {
   /// spans on, with one kResolution child span per resolved cycle (its
   /// id stamped into the matching kCyclePostMortem event's `span` field).
   /// Null disables span emission at one pointer test per pass.  The
-  /// tracer must share the bus's writer serialization; the parallel
-  /// sharded pass leaves this null and lets the concurrent service emit
-  /// its own pass/publish/apply spans instead (obs/span.h).  Not owned.
+  /// tracer must share the bus's writer serialization; the concurrent
+  /// service leaves its sharded pass's tracer null and emits its own
+  /// pass/publish/apply spans instead (obs/span.h).  Not owned.
   obs::SpanTracer* span_tracer = nullptr;
   /// Assemble a forensic core::CyclePostMortem for every resolved cycle
   /// and store it in ResolutionReport::post_mortems.  Post-mortems are

@@ -2,83 +2,121 @@
 
 #include "core/periodic_detector.h"
 
-#include "common/stopwatch.h"
+#include <optional>
+#include <utility>
+
 #include "core/tst.h"
 
 namespace twbg::core {
 
 ResolutionReport PeriodicDetector::RunPass(lock::LockManager& manager,
                                            CostTable& costs) {
-  obs::EventBus* bus = options_.event_bus;
+  LockManagerWalkHost walk_host(manager);
+  LockManagerResolutionHost resolution_host(manager);
+  tables_.assign(1, &manager.table());
+  return RunPassImpl(tables_, walk_host, resolution_host, costs);
+}
+
+ResolutionReport PeriodicDetector::RunPass(ShardedDetectionHost& host,
+                                           CostTable& costs) {
+  tables_.clear();
+  for (size_t shard = 0; shard < host.num_shards(); ++shard) {
+    tables_.push_back(&host.shard_table(shard));
+  }
+  return RunPassImpl(tables_, host, host, costs);
+}
+
+PeriodicDetector::DetectOutcome PeriodicDetector::RunDetect(
+    const std::vector<const lock::LockTable*>& tables, WalkHost& walk_host,
+    CostTable& costs, obs::EventBus* bus, common::Stopwatch& clock) {
   const bool observing = obs::Enabled(bus);
   obs::SpanTracer* tracer = options_.span_tracer;
   const bool tracing = obs::Tracing(tracer);
-  common::Stopwatch pass_clock;
+  // The walk emits through whatever bus the caller hands us, which may be
+  // a local recording bus rather than options_.event_bus.
+  DetectorOptions walk_options = options_;
+  walk_options.event_bus = bus;
+  DetectOutcome outcome;
   if (observing) {
     obs::Event start;
     start.kind = obs::EventKind::kPassStart;
     start.a = 1;  // periodic
     bus->Emit(start);
   }
-  const uint64_t pass_span = tracing ? tracer->Open(obs::SpanKind::kPass) : 0;
+  outcome.pass_span = tracing ? tracer->Open(obs::SpanKind::kPass) : 0;
   uint64_t step_span =
-      tracing ? tracer->Open(obs::SpanKind::kStep1, 0, pass_span) : 0;
+      tracing ? tracer->Open(obs::SpanKind::kStep1, 0, outcome.pass_span) : 0;
 
   // Step 1: construct the TST (W + H edges) and initialize the walk state
-  // — incrementally from the per-resource edge cache, or from scratch.
+  // — incrementally from the per-table edge caches, or from scratch:
+  // Tst::Build over one table, a throwaway builder over several.
   Tst scratch;
+  std::optional<TstBuilder> fresh;
   Tst* tst;
   if (options_.incremental_build) {
-    tst = &builder_.RefreshTst(manager.table());
-  } else {
-    scratch = Tst::Build(manager.table());
+    tst = &builder_.RefreshTst(tables);
+    outcome.incremental = true;
+    outcome.cache = builder_.stats();
+  } else if (tables.size() == 1) {
+    scratch = Tst::Build(*tables.front());
     tst = &scratch;
+  } else {
+    tst = &fresh.emplace().RefreshTst(tables);
   }
-  const size_t num_transactions = tst->size();
-  const size_t num_edges = tst->NumEdges();
+  outcome.num_transactions = tst->size();
+  outcome.num_edges = tst->NumEdges();
   if (tracing) {
-    tracer->Close(step_span, builder_.stats().edges_reused,
-                  builder_.stats().edges_rebuilt);
-    step_span = tracer->Open(obs::SpanKind::kStep2, 0, pass_span);
+    tracer->Close(step_span, outcome.cache.edges_reused,
+                  outcome.cache.edges_rebuilt);
+    step_span = tracer->Open(obs::SpanKind::kStep2, 0, outcome.pass_span);
   }
-  const int64_t step1_ns = observing ? pass_clock.ElapsedNanos() : 0;
+  outcome.step1_ns = observing ? clock.ElapsedNanos() : 0;
   if (observing) {
     obs::Event step1;
     step1.kind = obs::EventKind::kStep1;
-    if (options_.incremental_build) {
-      step1.a = builder_.stats().num_dirty_resources;
-      step1.b = builder_.stats().num_cached_resources;
+    if (outcome.incremental) {
+      step1.a = outcome.cache.num_dirty_resources;
+      step1.b = outcome.cache.num_cached_resources;
     }
-    step1.value = static_cast<double>(step1_ns);
+    step1.value = static_cast<double>(outcome.step1_ns);
     bus->Emit(step1);
   }
 
   // Step 2: directed walk from every vertex in id order.
-  WalkOutcome walk =
-      RunWalk(*tst, tst->Transactions(), manager, costs, options_);
-  if (tracing) tracer->Close(step_span, walk.steps);
+  outcome.walk =
+      RunWalk(*tst, tst->Transactions(), walk_host, costs, walk_options);
+  if (tracing) tracer->Close(step_span, outcome.walk.steps);
   if (observing) {
     obs::Event step2;
     step2.kind = obs::EventKind::kStep2;
-    step2.a = walk.cycles;
-    step2.b = walk.steps;
-    step2.value = static_cast<double>(pass_clock.ElapsedNanos() - step1_ns);
+    step2.a = outcome.walk.cycles;
+    step2.b = outcome.walk.steps;
+    step2.value =
+        static_cast<double>(clock.ElapsedNanos() - outcome.step1_ns);
     bus->Emit(step2);
   }
+  return outcome;
+}
+
+ResolutionReport PeriodicDetector::RunPassImpl(
+    const std::vector<const lock::LockTable*>& tables, WalkHost& walk_host,
+    ResolutionHost& resolution_host, CostTable& costs) {
+  obs::EventBus* bus = options_.event_bus;
+  common::Stopwatch pass_clock;
+  DetectOutcome detect = RunDetect(tables, walk_host, costs, bus, pass_clock);
 
   // Step 3: confirm aborts and grants.
-  ResolutionReport report =
-      ApplyResolution(std::move(walk), manager, costs, options_);
-  report.num_transactions = num_transactions;
-  report.num_edges = num_edges;
-  if (options_.incremental_build) {
-    const GraphCacheStats& stats = builder_.stats();
-    report.num_dirty_resources = stats.num_dirty_resources;
-    report.num_cached_resources = stats.num_cached_resources;
-    report.edges_rebuilt = stats.edges_rebuilt;
-    report.edges_reused = stats.edges_reused;
+  ResolutionReport report = ApplyResolution(std::move(detect.walk),
+                                            resolution_host, costs, options_);
+  report.num_transactions = detect.num_transactions;
+  report.num_edges = detect.num_edges;
+  if (detect.incremental) {
+    report.num_dirty_resources = detect.cache.num_dirty_resources;
+    report.num_cached_resources = detect.cache.num_cached_resources;
+    report.edges_rebuilt = detect.cache.edges_rebuilt;
+    report.edges_reused = detect.cache.edges_reused;
   }
-  if (observing) {
+  if (obs::Enabled(bus)) {
     obs::Event end;
     end.kind = obs::EventKind::kPassEnd;
     end.a = report.cycles_detected;
@@ -86,11 +124,12 @@ ResolutionReport PeriodicDetector::RunPass(lock::LockManager& manager,
     end.value = static_cast<double>(pass_clock.ElapsedNanos());
     bus->Emit(end);
   }
-  if (tracing) {
+  if (detect.pass_span != 0) {
     // Pass-span close contract (SpanEstimator): a = cycles resolved,
     // b = the pass's cost in nanoseconds.
-    tracer->Close(pass_span, report.cycles_detected,
-                  static_cast<uint64_t>(pass_clock.ElapsedNanos()));
+    options_.span_tracer->Close(
+        detect.pass_span, report.cycles_detected,
+        static_cast<uint64_t>(pass_clock.ElapsedNanos()));
   }
   return report;
 }

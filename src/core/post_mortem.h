@@ -27,8 +27,8 @@ CyclePostMortem BuildPostMortem(
     const lock::LockManager& manager, uint64_t now);
 
 /// Generalized overload reading wait state and queue snapshots through
-/// the detection-host lookup interfaces (sharded or component-parallel
-/// passes, where no single LockManager owns the state).
+/// the detection-host lookup interfaces (sharded passes and epoch
+/// mirrors, where no single LockManager owns the state).
 CyclePostMortem BuildPostMortem(
     const std::vector<CycleEdgeView>& views,
     const std::vector<VictimCandidate>& candidates, size_t chosen,

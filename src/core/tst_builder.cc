@@ -34,8 +34,8 @@ void TstBuilder::GroupBySource(const std::vector<Item>& items,
   }
 }
 
-Tst& TstBuilder::RefreshTst(const std::vector<const lock::LockTable*>& tables,
-                            common::ThreadPool* pool) {
+Tst& TstBuilder::RefreshTst(
+    const std::vector<const lock::LockTable*>& tables) {
   if (builders_.size() != tables.size()) {
     builders_.clear();
     vertices_.clear();
@@ -43,12 +43,7 @@ Tst& TstBuilder::RefreshTst(const std::vector<const lock::LockTable*>& tables,
     tst_ = Tst();
     builders_.resize(tables.size());
   }
-  auto refresh = [&](size_t i) { builders_[i].Refresh(*tables[i]); };
-  if (pool != nullptr) {
-    pool->ParallelFor(tables.size(), refresh);
-  } else {
-    for (size_t i = 0; i < tables.size(); ++i) refresh(i);
-  }
+  for (size_t i = 0; i < tables.size(); ++i) builders_[i].Refresh(*tables[i]);
 
   stats_ = {};
   for (const GraphBuilder& builder : builders_) {

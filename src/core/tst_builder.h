@@ -4,8 +4,8 @@
 // over one or more lock tables with disjoint resources (one table for the
 // sequential and continuous detectors, one per shard for the sharded
 // pass).  Each table has its own GraphBuilder edge cache; a refresh brings
-// every cache up to date (concurrently over a worker pool when given one)
-// and then, serially, patches the TST with what the caches logged:
+// every cache up to date and then patches the TST with what the caches
+// logged:
 //
 //   * a transaction that joins the graph takes a slot (a freed one when
 //     available) and keeps it until it leaves; the tid -> slot map counts
@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "common/flat_map.h"
-#include "common/thread_pool.h"
 #include "core/graph_builder.h"
 #include "core/tst.h"
 
@@ -44,13 +43,11 @@ namespace twbg::core {
 /// The one incremental Step 1 behind every detector.  Not thread-safe.
 class TstBuilder {
  public:
-  /// Refreshes every table's cache (over `pool` when non-null; the tables
-  /// share no resource, so the refreshes share nothing) and patches the
-  /// TST.  Tables are identified by position; handing over a different
-  /// number of tables than last time starts the TST over.  The reference
-  /// stays valid until the next call.
-  Tst& RefreshTst(const std::vector<const lock::LockTable*>& tables,
-                  common::ThreadPool* pool = nullptr);
+  /// Refreshes every table's cache and patches the TST.  Tables are
+  /// identified by position; handing over a different number of tables
+  /// than last time starts the TST over.  The reference stays valid until
+  /// the next call.
+  Tst& RefreshTst(const std::vector<const lock::LockTable*>& tables);
 
   /// One-table form, for the sequential and continuous detectors.
   Tst& RefreshTst(const lock::LockTable& table);

@@ -109,10 +109,6 @@ ResourceState* LockTable::FindMutable(ResourceId rid) {
   return state;
 }
 
-ResourceState* LockTable::FindMutableDeferred(ResourceId rid) {
-  return resources_.Find(rid);
-}
-
 void LockTable::EraseIfFree(ResourceId rid) {
   const ResourceState* state = resources_.Find(rid);
   if (state == nullptr || !state->IsFree()) return;

@@ -64,17 +64,6 @@ class LockTable {
   const ResourceState* Find(ResourceId rid) const;
   ResourceState* FindMutable(ResourceId rid);
 
-  /// Like FindMutable but does NOT journal: the caller promises to call
-  /// NoteMutation(rid) (serially, before the next journal reader syncs)
-  /// for every resource it actually mutated.  Exists for the
-  /// component-parallel Step 2 walk, which mutates disjoint resources
-  /// from worker threads and defers journaling into its serial merge
-  /// phase — the journal itself is not thread-safe.
-  ResourceState* FindMutableDeferred(ResourceId rid);
-
-  /// Journals a mutation of `rid` performed through FindMutableDeferred.
-  void NoteMutation(ResourceId rid) { MarkDirty(rid); }
-
   /// Drops the entry for `rid` if it is free (no holders, no queue).  Its
   /// slot, capacity included, is reused by a later GetOrCreate.
   void EraseIfFree(ResourceId rid);
@@ -158,7 +147,7 @@ class LockTable {
   void MarkDirty(ResourceId rid);
   // Re-sorts the rid index if an insert/erase invalidated it.  Lazy and
   // `mutable` so ordered reads stay const; single-writer like the rest of
-  // the table (the parallel pass hands each shard table to one worker).
+  // the table.
   void RefreshOrder() const;
   static uint64_t NextTableUid();
 

@@ -19,9 +19,9 @@
 //   * sim        — workload generator and simulator.
 //
 // Engine internals (the TST builder layers, scoped-TST experiments, the
-// incremental ECR edge cache, the parallel detection engine) are NOT part
-// of the public surface; include their headers directly if you are
-// extending the engine itself.
+// incremental ECR edge cache, the detection engine) are NOT part of the
+// public surface; include their headers directly if you are extending the
+// engine itself.
 
 #ifndef TWBG_TWBG_H_
 #define TWBG_TWBG_H_

@@ -89,10 +89,6 @@ Status ConcurrentServiceOptions::Validate() const {
           "continuous detection has no detector thread; "
           "detection_period must be 0");
     }
-    if (detection_threads != 0) {
-      return Status::InvalidArgument(
-          "continuous detection runs inline; detection_threads must be 0");
-    }
   }
   Status sched_status = scheduler.Validate();
   if (!sched_status.ok()) return sched_status;
@@ -113,10 +109,11 @@ Status ConcurrentServiceOptions::Validate() const {
   return robustness.Validate();
 }
 
-// What the parallel pass sees of the shard set, and where its Step 3
-// lands.  Every method runs with all shard mutexes, txn_mu_ and (when
-// observing) obs_mu_ held by the pass, so plain cross-shard reads and
-// serial mutations are safe.
+// What the stop-the-world pass sees of the shard set, and where its
+// Step 3 lands (the pauseless apply runs its Step 3 here too).  Every
+// method runs with all shard mutexes, txn_mu_ and (when observing)
+// obs_mu_ held by the pass, so plain cross-shard reads and mutations are
+// safe.
 class ConcurrentLockService::PassHost final
     : public core::ShardedDetectionHost {
  public:
@@ -144,17 +141,12 @@ class ConcurrentLockService::PassHost final
     }
     return any;
   }
-  Status ApplyTdr2Direct(lock::ResourceId rid,
-                         lock::TransactionId junction) override {
-    lock::ResourceState* state =
-        shard(rid).lm.mutable_table().FindMutableDeferred(rid);
-    if (state == nullptr) {
-      return Status::NotFound(common::Format("R%u is not locked", rid));
-    }
-    return state->ApplyTdr2(junction);
-  }
-  void NoteTdr2Applied(lock::ResourceId rid) override {
-    shard(rid).lm.mutable_table().NoteMutation(rid);
+  // The shard's manager journals the repositioning and emits its
+  // kUprReposition on the service bus, as in the continuous detector's
+  // walk.
+  Status ApplyTdr2(lock::ResourceId rid,
+                   lock::TransactionId junction) override {
+    return shard(rid).lm.ApplyTdr2(rid, junction);
   }
 
   std::vector<lock::TransactionId> ReleaseAll(
@@ -205,11 +197,8 @@ ConcurrentLockService::ConcurrentLockService(ConcurrentServiceOptions options)
     }
     continuous_ = std::make_unique<core::ContinuousDetector>(continuous_options);
   }
-  if (options_.detection_threads > 0) {
-    pool_ = std::make_unique<common::ThreadPool>(options_.detection_threads);
-  }
   core::DetectorOptions detector_options = options_.detector;
-  // The component-parallel walk runs on pool workers; span emission there
+  // The pauseless walk runs off every service lock, where span emission
   // would break the tracer's single-writer contract, so the sharded
   // engine's detector never carries the tracer — the service emits the
   // pass / publish / apply / resolution spans itself, under obs_mu_.
@@ -222,11 +211,8 @@ ConcurrentLockService::ConcurrentLockService(ConcurrentServiceOptions options)
     for (size_t s = 0; s < options_.num_shards; ++s) {
       snapshots_.emplace_back(shards_[s]->lm.table().policy());
     }
-    snapshot_host_ = std::make_unique<SnapshotWalkHost>(
-        snapshots_, [this](lock::ResourceId rid) { return ShardIndex(rid); });
   }
-  detector_ = std::make_unique<core::ParallelPeriodicDetector>(
-      detector_options, pool_.get());
+  detector_ = std::make_unique<core::PeriodicDetector>(detector_options);
   pass_host_ = std::make_unique<PassHost>(*this);
   if (options_.scheduler.use_span_estimates) {
     // Validate() guarantees tracer_ is set with the flag on.
@@ -923,11 +909,14 @@ core::ResolutionReport ConcurrentLockService::RunPauselessPass() {
   }
   if (observing) local_bus.Subscribe(&recorder);
   common::Stopwatch detect_clock;
-  core::ParallelPeriodicDetector::DetectOutcome detect;
+  core::PeriodicDetector::DetectOutcome detect;
   {
+    obs::EventBus* walk_bus = observing ? &local_bus : nullptr;
+    SnapshotWalkHost walk_host(
+        snapshots_, [this](lock::ResourceId rid) { return ShardIndex(rid); },
+        walk_bus);
     ++t_in_sealed_detect;
-    detect = detector_->RunDetect(tables, *snapshot_host_, costs_copy,
-                                  observing ? &local_bus : nullptr,
+    detect = detector_->RunDetect(tables, walk_host, costs_copy, walk_bus,
                                   detect_clock);
     --t_in_sealed_detect;
   }
@@ -1036,9 +1025,9 @@ core::ResolutionReport ConcurrentLockService::RunPauselessPass() {
         }
         continue;
       }
-      // The sealed detect ran tracer-less (worker threads), so the
-      // resolution span of a validated decision is minted here, at the
-      // moment the resolution actually lands on the live shards.
+      // The sealed detect ran tracer-less (off every service lock), so
+      // the resolution span of a validated decision is minted here, at
+      // the moment the resolution actually lands on the live shards.
       uint64_t res_span = 0;
       if (obs::Tracing(tracer_)) {
         res_span = tracer_->Open(obs::SpanKind::kResolution, 0, pass_span);
@@ -1050,11 +1039,10 @@ core::ResolutionReport ConcurrentLockService::RunPauselessPass() {
       if (victim.kind == core::VictimKind::kReposition) {
         Shard& shard = *shards_[ShardIndex(victim.resource)];
         lock::ResourceState* state =
-            shard.lm.mutable_table().FindMutableDeferred(victim.resource);
+            shard.lm.mutable_table().FindMutable(victim.resource);
         TWBG_CHECK(state != nullptr);  // stamps hold: same state as sealed
         const Status applied = state->ApplyTdr2(victim.junction);
         TWBG_CHECK(applied.ok());  // identical queue => same outcome
-        shard.lm.mutable_table().NoteMutation(victim.resource);
         overlay[victim.resource] = {decision.applied_version,
                                     state->version()};
         for (lock::TransactionId st : victim.st) {

@@ -26,9 +26,9 @@
 //         its mutation-journal delta plus a slim mirror of its wait map
 //         into a detector-owned epoch mirror (txn/epoch_snapshot.h) under
 //         its own mutex — an O(delta + active transactions) pause,
-//         independent of table size — and the component-parallel Step 1/2
-//         walk runs over the sealed mirrors while client traffic proceeds
-//         on the live shards.  Resolution applies as a *validated
+//         independent of table size — and the detector's Step 1/2 walk
+//         runs over the sealed mirrors while client traffic proceeds on
+//         the live shards.  Resolution applies as a *validated
 //         change-list*: every decision carries the version stamps of the
 //         evidence it was derived from (core::VictimDecision::evidence);
 //         the apply phase re-checks the stamps under the shard locks and
@@ -107,9 +107,8 @@
 
 #include "common/macros.h"
 #include "common/stopwatch.h"
-#include "common/thread_pool.h"
 #include "core/continuous_detector.h"
-#include "core/parallel_detector.h"
+#include "core/periodic_detector.h"
 #include "obs/span.h"
 #include "obs/span_sinks.h"
 #include "sched/period_controller.h"
@@ -157,9 +156,6 @@ struct ConcurrentServiceOptions {
   /// pre-scheduler service, so adaptive scheduling is strictly opt-in.
   /// A non-fixed policy requires kPeriodic mode and detection_period > 0.
   sched::SchedulerOptions scheduler;
-  /// Worker threads for the parallel pass (kPeriodic only); zero runs the
-  /// pass entirely on the invoking thread.
-  size_t detection_threads = 0;
   /// Victim-cost metric, as in TransactionManagerOptions.
   CostPolicy cost_policy = CostPolicy::kLocksHeld;
   /// Detector tuning; `detector.event_bus` defaults to `event_bus`.
@@ -173,8 +169,9 @@ struct ConcurrentServiceOptions {
   /// contract.  The service opens txn spans at Begin / Terminate, the
   /// shard lock managers open/close the wait spans, and each periodic
   /// pass emits a kPass span with kPublish / kApply / kResolution
-  /// children (pauseless) — the parallel detector's own tracer stays unset
-  /// because the component-parallel walk runs on worker threads.  The
+  /// children (pauseless) — the periodic detector's own tracer stays unset
+  /// because the pauseless walk runs off every service lock, and its
+  /// resolution spans are minted when a decision validates.  The
   /// kContinuous detector runs inside the acquire, under the same mutex,
   /// and emits its own pass / step / resolution spans.  Required when
   /// scheduler.use_span_estimates is set.
@@ -193,9 +190,9 @@ struct ConcurrentServiceOptions {
   std::function<void()> post_seal_hook;
 
   /// Rejects out-of-domain combinations — num_shards outside [1, 64],
-  /// kContinuous combined with sharding / a detection period / detection
-  /// threads, scheduler.use_span_estimates without a span tracer, bad
-  /// robustness knobs.
+  /// kContinuous combined with sharding or a detection period,
+  /// scheduler.use_span_estimates without a span tracer, bad robustness
+  /// knobs.
   Status Validate() const;
 };
 
@@ -721,8 +718,7 @@ class ConcurrentLockService {
   // to tracer_, drained by UpdateSchedulerAfterPass under obs_mu_.
   std::unique_ptr<obs::SpanEstimator> estimator_;
 
-  std::unique_ptr<common::ThreadPool> pool_;
-  std::unique_ptr<core::ParallelPeriodicDetector> detector_;
+  std::unique_ptr<core::PeriodicDetector> detector_;
   std::unique_ptr<PassHost> pass_host_;
   std::atomic<uint64_t> epoch_{0};
 
@@ -732,7 +728,6 @@ class ConcurrentLockService {
   // lock.
   std::mutex pass_mu_;
   std::vector<ShardSnapshot> snapshots_;
-  std::unique_ptr<SnapshotWalkHost> snapshot_host_;
 
   // -- robustness state --
   std::unique_ptr<robustness::FaultInjector> injector_;

@@ -144,14 +144,23 @@ const lock::TxnLockInfo* ShardSnapshot::FindWaitInfo(
   return it == waits_.end() || it->first != tid ? nullptr : &it->second;
 }
 
-Status SnapshotWalkHost::ApplyTdr2Direct(lock::ResourceId rid,
-                                         lock::TransactionId junction) {
+Status SnapshotWalkHost::ApplyTdr2(lock::ResourceId rid,
+                                   lock::TransactionId junction) {
   lock::ResourceState* state =
-      snapshots_[shard_of_(rid)].mutable_table().FindMutableDeferred(rid);
+      snapshots_[shard_of_(rid)].mutable_table().FindMutable(rid);
   if (state == nullptr) {
     return Status::NotFound(common::Format("R%u is not locked", rid));
   }
-  return state->ApplyTdr2(junction);
+  Status status = state->ApplyTdr2(junction);
+  if (status.ok() && obs::Enabled(bus_)) {
+    // Same shape LockManager::ApplyTdr2 emits on a live table.
+    obs::Event event;
+    event.kind = obs::EventKind::kUprReposition;
+    event.tid = junction;
+    event.rid = rid;
+    bus_->Emit(event);
+  }
+  return status;
 }
 
 }  // namespace twbg::txn

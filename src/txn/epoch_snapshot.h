@@ -46,7 +46,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/parallel_engine.h"
+#include "core/detection_engine.h"
 #include "lock/lock_manager.h"
 #include "lock/lock_table.h"
 
@@ -138,15 +138,17 @@ class ShardSnapshot {
       staged_waits_;
 };
 
-/// core::ParallelWalkHost over a set of sealed shard mirrors: the Step
-/// 1/2 walk of the pauseless pass reads (and TDR-2-mutates) the mirrors
-/// only, never live shard state.  `shard_of` must be the owner's rid ->
-/// shard routing (ConcurrentLockService::ShardIndex).
-class SnapshotWalkHost final : public core::ParallelWalkHost {
+/// core::WalkHost over a set of sealed shard mirrors: the Step 1/2 walk
+/// of the pauseless pass reads (and TDR-2-mutates) the mirrors only, never
+/// live shard state.  `shard_of` must be the owner's rid -> shard routing
+/// (ConcurrentLockService::ShardIndex); `bus` (may be null) is the walk's
+/// bus, on which each TDR-2 emits its kUprReposition.
+class SnapshotWalkHost final : public core::WalkHost {
  public:
   SnapshotWalkHost(std::vector<ShardSnapshot>& snapshots,
-                   std::function<size_t(lock::ResourceId)> shard_of)
-      : snapshots_(snapshots), shard_of_(std::move(shard_of)) {}
+                   std::function<size_t(lock::ResourceId)> shard_of,
+                   obs::EventBus* bus)
+      : snapshots_(snapshots), shard_of_(std::move(shard_of)), bus_(bus) {}
 
   const lock::ResourceState* FindResource(
       lock::ResourceId rid) const override {
@@ -166,15 +168,15 @@ class SnapshotWalkHost final : public core::ParallelWalkHost {
     }
     return nullptr;
   }
-  Status ApplyTdr2Direct(lock::ResourceId rid,
-                         lock::TransactionId junction) override;
-  void NoteTdr2Applied(lock::ResourceId rid) override {
-    snapshots_[shard_of_(rid)].mutable_table().NoteMutation(rid);
-  }
+  // Repositions the mirror's queue and journals it in the mirror (the
+  // next Capture re-stages it from live; see ShardSnapshot::folded_seq_).
+  Status ApplyTdr2(lock::ResourceId rid,
+                   lock::TransactionId junction) override;
 
  private:
   std::vector<ShardSnapshot>& snapshots_;
   std::function<size_t(lock::ResourceId)> shard_of_;
+  obs::EventBus* bus_;
 };
 
 }  // namespace twbg::txn

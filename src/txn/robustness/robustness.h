@@ -39,8 +39,10 @@ struct DeadlineOptions {
 
 /// Graceful degradation of the periodic detector under overload.
 struct DegradationOptions {
-  /// When a stop-the-world pass pauses the service longer than this
-  /// budget (nanoseconds), the engine degrades.  0 = never degrade.
+  /// When a full pass pauses the service longer than this budget
+  /// (nanoseconds), the engine degrades.  The pause is max(longest shard
+  /// publish, validated apply) for a pauseless pass and the whole pass
+  /// for a stop-the-world one.  0 = never degrade.
   uint64_t pause_budget_ns = 0;
   /// While degraded, the next K scheduled passes run a cheap timeout-
   /// resolver sweep instead of full detection.

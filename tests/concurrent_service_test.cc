@@ -191,7 +191,7 @@ TEST(ConcurrentServiceCreateTest, RejectsUnsupportedCombinations) {
   {
     // The historical silent coercion is now an explicit error:
     // continuous detection runs on exactly one shard, with no detector
-    // thread and no pool.
+    // thread.
     ConcurrentServiceOptions options;
     options.num_shards = 4;
     options.detection_mode = DetectionMode::kContinuous;
@@ -201,12 +201,6 @@ TEST(ConcurrentServiceCreateTest, RejectsUnsupportedCombinations) {
   {
     ConcurrentServiceOptions options;
     options.detection_period = std::chrono::microseconds(100);
-    EXPECT_TRUE(ConcurrentLockService::Create(options)
-                    .status().IsInvalidArgument());
-  }
-  {
-    ConcurrentServiceOptions options;
-    options.detection_threads = 2;
     EXPECT_TRUE(ConcurrentLockService::Create(options)
                     .status().IsInvalidArgument());
   }
@@ -265,7 +259,6 @@ TEST(ConcurrentServiceCreateTest, PeriodicCrossDeadlockResolvedByThread) {
   options.num_shards = 8;
   options.detection_mode = DetectionMode::kPeriodic;
   options.detection_period = std::chrono::microseconds(500);
-  options.detection_threads = 2;
   auto service = ConcurrentLockService::Create(options);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
   ConcurrentLockService& s = **service;

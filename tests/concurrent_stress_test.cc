@@ -219,7 +219,6 @@ void RunStressAndReplay(const WorkloadConfig& config) {
   // (pauseless_service_test.cc).
   options.snapshot_strategy = SnapshotStrategy::kStopTheWorld;
   options.detection_period = std::chrono::microseconds(500);
-  options.detection_threads = 2;
   options.cost_policy = CostPolicy::kLocksHeld;
   options.event_bus = &bus;
   Result<std::unique_ptr<ConcurrentLockService>> service =
@@ -291,7 +290,6 @@ TEST(ConcurrentStressTest, CrossingDeadlocksReplayWithVictims) {
   // Replay oracle: see RunStressAndReplay.
   options.snapshot_strategy = SnapshotStrategy::kStopTheWorld;
   options.detection_period = std::chrono::microseconds(300);
-  options.detection_threads = 2;
   options.event_bus = &bus;
   Result<std::unique_ptr<ConcurrentLockService>> service =
       ConcurrentLockService::Create(options);
@@ -345,7 +343,6 @@ TEST(ConcurrentStressTest, UnobservedShardedRunCompletes) {
   options.num_shards = 16;
   options.detection_mode = DetectionMode::kPeriodic;
   options.detection_period = std::chrono::microseconds(500);
-  options.detection_threads = 2;
   Result<std::unique_ptr<ConcurrentLockService>> service =
       ConcurrentLockService::Create(options);
   ASSERT_TRUE(service.ok()) << service.status().ToString();

@@ -12,6 +12,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "baselines/factory.h"
 #include "core/cost_table.h"
@@ -300,6 +301,68 @@ TEST(ObsIntegrationTest, EveryEventKindIsEmittedSomewhere) {
     EXPECT_TRUE(kinds.count(static_cast<obs::EventKind>(i)))
         << "kind never emitted: "
         << obs::ToString(static_cast<obs::EventKind>(i));
+  }
+}
+
+// Each TDR-2 a sharded pass applies reaches the service bus as exactly one
+// kUprReposition, right before its kCycleResolved, under either pass
+// strategy and shard count: the stop-the-world walk emits it through the
+// shard's LockManager, the pauseless walk through the mirror host onto the
+// local bus whose validated decisions the apply replays.
+TEST(ObsIntegrationTest, ServicePassEmitsOneUprRepositionPerTdr2) {
+  using lock::LockMode;
+  using lock::RequestOutcome;
+  for (const txn::SnapshotStrategy strategy :
+       {txn::SnapshotStrategy::kEpochDelta,
+        txn::SnapshotStrategy::kStopTheWorld}) {
+    for (const size_t shards : {size_t{1}, size_t{4}}) {
+      obs::EventBus bus;
+      obs::CollectorSink sink;
+      bus.Subscribe(&sink);
+      txn::ConcurrentServiceOptions options;
+      options.num_shards = shards;
+      options.detection_mode = txn::DetectionMode::kPeriodic;
+      options.snapshot_strategy = strategy;
+      options.event_bus = &bus;
+      auto service = txn::ConcurrentLockService::Create(options);
+      ASSERT_TRUE(service.ok()) << service.status().ToString();
+      txn::ConcurrentLockService& s = **service;
+      // scenarios/tdr2_no_abort.twbg: moving T8 behind T1 on R2 dissolves
+      // the cycle without aborting anyone.
+      for (lock::TransactionId t = 1; t <= 9; ++t) ASSERT_EQ(*s.Begin(), t);
+      const struct {
+        lock::TransactionId tid;
+        lock::ResourceId rid;
+        LockMode mode;
+        RequestOutcome outcome;
+      } requests[] = {{7, 2, LockMode::kIS, RequestOutcome::kGranted},
+                      {1, 1, LockMode::kX, RequestOutcome::kGranted},
+                      {8, 2, LockMode::kX, RequestOutcome::kBlocked},
+                      {9, 2, LockMode::kIX, RequestOutcome::kBlocked},
+                      {7, 1, LockMode::kS, RequestOutcome::kBlocked},
+                      {1, 2, LockMode::kS, RequestOutcome::kBlocked}};
+      for (const auto& r : requests) {
+        ASSERT_EQ(*s.AcquireAsync(r.tid, r.rid, r.mode), r.outcome);
+      }
+      const size_t before = sink.events().size();
+      const core::ResolutionReport report = s.RunDetectionPass();
+      ASSERT_EQ(report.repositioned, std::vector<lock::ResourceId>{2});
+      EXPECT_TRUE(report.aborted.empty());
+      std::vector<obs::Event> repositions;
+      for (size_t i = before; i < sink.events().size(); ++i) {
+        const obs::Event& event = sink.events()[i];
+        if (event.kind != obs::EventKind::kUprReposition) continue;
+        repositions.push_back(event);
+        ASSERT_LT(i + 1, sink.events().size());
+        EXPECT_EQ(sink.events()[i + 1].kind,
+                  obs::EventKind::kCycleResolved);
+      }
+      ASSERT_EQ(repositions.size(), 1u)
+          << "strategy " << static_cast<int>(strategy) << ", " << shards
+          << " shards";
+      EXPECT_EQ(repositions[0].tid, 1u);  // the junction
+      EXPECT_EQ(repositions[0].rid, 2u);
+    }
   }
 }
 

@@ -391,11 +391,8 @@ TEST(ShardSnapshotTest, MirrorIsTheLiveWaiterStateAfterEveryFold) {
         // live shard never sees it.
         const auto [at, junction] = tdr2_at(snapshot.table(), rid);
         if (junction == lock::kInvalidTransaction) continue;
-        ASSERT_TRUE(snapshot.mutable_table()
-                        .FindMutableDeferred(at)
-                        ->ApplyTdr2(junction)
-                        .ok());
-        snapshot.mutable_table().NoteMutation(at);
+        ASSERT_TRUE(
+            snapshot.mutable_table().FindMutable(at)->ApplyTdr2(junction).ok());
         ++mirror_tdr2s;
       } else {
         publish();
@@ -440,9 +437,9 @@ TEST(ShardSnapshotTest, DetectPhaseMirrorMutationsAreRestagedFromLive) {
   const uint64_t live_version = lm.table().Find(7)->version();
   ASSERT_EQ(snapshot.table().Find(7)->version(), live_version);
 
-  // Simulate the walk mutating the mirror (journaled, as NoteTdr2Applied
-  // does) for a decision the validated apply will reject: the mirror
-  // moves, the live table does not.
+  // Simulate the walk mutating the mirror (journaled, as
+  // SnapshotWalkHost::ApplyTdr2 does) for a decision the validated apply
+  // will reject: the mirror moves, the live table does not.
   snapshot.mutable_table().FindMutable(7)->Remove(2);
   ASSERT_NE(snapshot.table().Find(7)->version(), live_version);
 
@@ -732,8 +729,8 @@ TEST(PauselessServiceTest, SpanTreeCoversTheWholePauselessPass) {
   EXPECT_EQ(tracer.open_count(), 0u);  // nothing leaked
 }
 
-// The stop-the-world engine emits the pass span itself (its pool workers
-// run tracer-less), with the same client-side txn/wait coverage.
+// The stop-the-world engine emits the pass span itself (its detector
+// runs tracer-less), with the same client-side txn/wait coverage.
 TEST(PauselessServiceTest, StopTheWorldPassEmitsPassSpan) {
   obs::SpanTracer tracer;
   obs::SpanCollectorSink spans;

@@ -31,7 +31,6 @@
 #include "core/cost_table.h"
 #include "core/detection_engine.h"
 #include "core/oracle.h"
-#include "core/parallel_engine.h"
 #include "core/periodic_detector.h"
 #include "core/tst.h"
 #include "core/tst_builder.h"
@@ -60,33 +59,6 @@ struct Node {
   // Bit t: the continuous check already ran for a request of T(t) that
   // blocked into this state.
   uint32_t blocks_checked = 0;
-};
-
-// ParallelWalkHost over one manager, for the pool-less direct walk.
-class ManagerHost final : public ParallelWalkHost {
- public:
-  explicit ManagerHost(LockManager& manager) : manager_(manager) {}
-  const lock::ResourceState* FindResource(
-      lock::ResourceId rid) const override {
-    return manager_.table().Find(rid);
-  }
-  const lock::TxnLockInfo* FindWaitInfo(
-      lock::TransactionId tid) const override {
-    return manager_.Info(tid);
-  }
-  Status ApplyTdr2Direct(lock::ResourceId rid,
-                         lock::TransactionId junction) override {
-    lock::ResourceState* state =
-        manager_.mutable_table().FindMutableDeferred(rid);
-    return state == nullptr ? Status::NotFound("not locked")
-                            : state->ApplyTdr2(junction);
-  }
-  void NoteTdr2Applied(lock::ResourceId rid) override {
-    manager_.mutable_table().NoteMutation(rid);
-  }
-
- private:
-  LockManager& manager_;
 };
 
 // True when `tid` can reach itself in `graph`.
@@ -263,14 +235,13 @@ class StateSpace {
     }
     TstBuilder fresh;
     for (TstBuilder* builder : {&fresh, &long_lived_}) {
-      Tst& tst = builder->RefreshTst(tables, nullptr);
+      Tst& tst = builder->RefreshTst(tables);
       ASSERT_EQ(tst.ToString(), expected);
       LockManager copy = state;
-      ManagerHost host(copy);
       CostTable costs;
-      ASSERT_EQ(Decisions(RunWalkComponentParallel(tst, host, costs, {},
-                                                   /*pool=*/nullptr)),
-                expected_walk)
+      ASSERT_EQ(
+          Decisions(RunWalk(tst, tst.Transactions(), copy, costs, {})),
+          expected_walk)
           << expected;
     }
   }

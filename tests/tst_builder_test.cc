@@ -7,8 +7,8 @@
 // on two shards at once), and the walk applies TDR-2s to the very tables
 // the builder tracks.  After every refresh the TST must render exactly
 // like Tst::Build of the union table under the capture-skew rule, and the
-// pool-less walk over it must decide exactly what the sequential engine
-// decides over that reference.
+// walk over it must decide exactly what the sequential engine decides over
+// that reference.
 
 #include <gtest/gtest.h>
 
@@ -21,7 +21,6 @@
 #include "core/cost_table.h"
 #include "core/detection_engine.h"
 #include "core/ecr.h"
-#include "core/parallel_engine.h"
 #include "core/tst.h"
 #include "core/tst_builder.h"
 #include "lock/lock_manager.h"
@@ -77,37 +76,8 @@ const lock::TxnLockInfo* AnyInfo(const std::vector<LockManager>& shards,
   return nullptr;
 }
 
-// The incremental side's walk host: TDR-2 mutates the tracked tables
-// directly and journals through NoteTdr2Applied.
-class ShardsParallelHost final : public ParallelWalkHost {
- public:
-  explicit ShardsParallelHost(std::vector<LockManager>& shards)
-      : shards_(shards) {}
-  const lock::ResourceState* FindResource(
-      lock::ResourceId rid) const override {
-    return shards_[ShardOf(rid)].table().Find(rid);
-  }
-  const lock::TxnLockInfo* FindWaitInfo(
-      lock::TransactionId tid) const override {
-    return AnyInfo(shards_, tid);
-  }
-  Status ApplyTdr2Direct(lock::ResourceId rid,
-                         lock::TransactionId junction) override {
-    lock::ResourceState* state =
-        Owner(shards_, rid).mutable_table().FindMutableDeferred(rid);
-    return state == nullptr ? Status::NotFound("not locked")
-                            : state->ApplyTdr2(junction);
-  }
-  void NoteTdr2Applied(lock::ResourceId rid) override {
-    Owner(shards_, rid).mutable_table().NoteMutation(rid);
-  }
-
- private:
-  std::vector<LockManager>& shards_;
-};
-
-// The reference side's walk host: the sequential engine's LockManager
-// TDR-2 on the owning shard.
+// Either side's walk host: the sequential engine's LockManager TDR-2 on
+// the owning shard, journaled there, so the builder sees it.
 class ShardsWalkHost final : public WalkHost {
  public:
   explicit ShardsWalkHost(std::vector<LockManager>& shards)
@@ -197,7 +167,7 @@ struct Sides {
   }
   // Refreshes the builder and checks it against the reference.
   Tst& Refresh(const std::string& context) {
-    Tst& tst = builder.RefreshTst(Tables(inc), nullptr);
+    Tst& tst = builder.RefreshTst(Tables(inc));
     EXPECT_EQ(tst.ToString(), SkewReference(ref).ToString()) << context;
     return tst;
   }
@@ -273,14 +243,14 @@ TEST(TstBuilderTest, LongLivedShardsMatchTheSkewReference) {
     skewed_refreshes += waits > 0 ? 1 : 0;
 
     if (op % 7 != 6) continue;
-    // Walk both sides: the incremental TST with the pool-less direct walk
-    // over the tracked tables, the reference with the sequential engine.
+    // Walk both sides: the incremental TST over the tracked tables, the
+    // reference over the others.
     Tst reference = SkewReference(sides.ref);
-    ShardsParallelHost inc_host(sides.inc);
+    ShardsWalkHost inc_host(sides.inc);
     ShardsWalkHost ref_host(sides.ref);
     const DetectorOptions options;
-    WalkOutcome inc_walk = RunWalkComponentParallel(
-        tst, inc_host, sides.inc_costs, options, /*pool=*/nullptr);
+    WalkOutcome inc_walk = RunWalk(tst, tst.Transactions(), inc_host,
+                                   sides.inc_costs, options);
     WalkOutcome ref_walk = RunWalk(reference, reference.Transactions(),
                                    ref_host, sides.ref_costs, options);
     ASSERT_EQ(Render(inc_walk), Render(ref_walk)) << context;

@@ -32,12 +32,10 @@ constexpr const char* kUsage = R"(usage: twbg-serverd [options]
   --port=N           listen port; 0 picks ephemeral    (default 7762)
   --shards=N         lock-table shards, 1..64          (default 4)
   --period-us=N      detection period, microseconds    (default 2000)
-  --detect-threads=N parallel-pass worker threads      (default 0 = inline)
   --workers=N        request worker threads            (default 2)
   --max-sessions=N   accepted-connection cap           (default 4096)
   --max-inflight=N   per-session unanswered-request cap (default 64)
   --drain-ms=N       graceful-drain deadline, ms       (default 2000)
-  --stop-the-world   snapshot via global pause instead of epoch deltas
   --help             print this and exit
 )";
 
@@ -64,7 +62,6 @@ int main(int argc, char** argv) {
   using twbg::txn::ConcurrentLockService;
   using twbg::txn::ConcurrentServiceOptions;
   using twbg::txn::DetectionMode;
-  using twbg::txn::SnapshotStrategy;
 
   ServerOptions server_options;
   server_options.port = 7762;
@@ -87,9 +84,6 @@ int main(int argc, char** argv) {
     } else if (const char* v = FlagValue(arg, "--period-us")) {
       if (!ParseU64(v, &n)) goto bad_flag;
       service_options.detection_period = std::chrono::microseconds(n);
-    } else if (const char* v = FlagValue(arg, "--detect-threads")) {
-      if (!ParseU64(v, &n)) goto bad_flag;
-      service_options.detection_threads = n;
     } else if (const char* v = FlagValue(arg, "--workers")) {
       if (!ParseU64(v, &n)) goto bad_flag;
       server_options.worker_threads = n;
@@ -102,8 +96,6 @@ int main(int argc, char** argv) {
     } else if (const char* v = FlagValue(arg, "--drain-ms")) {
       if (!ParseU64(v, &n)) goto bad_flag;
       server_options.drain_deadline = std::chrono::milliseconds(n);
-    } else if (std::strcmp(arg, "--stop-the-world") == 0) {
-      service_options.snapshot_strategy = SnapshotStrategy::kStopTheWorld;
     } else if (std::strcmp(arg, "--help") == 0) {
       std::fputs(kUsage, stdout);
       return 0;
